@@ -56,3 +56,7 @@ class TrivialPairExcluded(DomainError):
 
 class BoundExceeded(DomainError):
     """A degree bound required by a classification was exceeded."""
+
+
+class InvariantViolated(DomainError):
+    """A classification the paper proves exhaustive failed to hold."""

@@ -174,6 +174,8 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
 
     Optional filters: exact weight, or symmetric shapes only.
     """
+    if rows < 0 or cols < 0:
+        raise ValueError("rectangle sides must be nonnegative: %dx%d" % (rows, cols))
 
     def gen(maxpart, rowsleft):
         yield ()

@@ -16,6 +16,7 @@ from .errors import (
     AmbientNotSquare,
     BoundExceeded,
     IncompatiblePair,
+    InvariantViolated,
     LeviDoesNotFit,
     ShapeNotSymmetric,
     ShapeOutOfBox,
@@ -60,13 +61,18 @@ class CompatiblePair:
         return SkewShape(self.mu, self.lam)
 
 
-def make_pair(lam, mu, ambient, flavor="unitary"):
-    lam, mu, ambient = partition(lam), partition(mu), tuple(ambient)
+def _check_flavor(ambient, flavor):
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % flavor)
+    if flavor != "unitary" and ambient[0] != ambient[1]:
+        raise AmbientNotSquare("%dx%d" % ambient)
+
+
+def make_pair(lam, mu, ambient, flavor="unitary"):
+    """Validate a user-supplied pair and read off its chain."""
+    lam, mu, ambient = partition(lam), partition(mu), tuple(ambient)
+    _check_flavor(ambient, flavor)
     if flavor != "unitary":
-        if ambient[0] != ambient[1]:
-            raise AmbientNotSquare("%dx%d" % ambient)
         for shape in (lam, mu):
             if not is_symmetric(shape):
                 raise ShapeNotSymmetric("%r is not symmetric" % (shape,))
@@ -80,21 +86,68 @@ def make_pair(lam, mu, ambient, flavor="unitary"):
     return CompatiblePair(lam, mu, ambient, flavor, tuple(chain))
 
 
+def _chains_below(mu):
+    """Every (lam, chain) with mu/lam a corner-linked rectangle chain.
+
+    A rectangle starting at row t runs down to the last row b of mu's
+    block of parts equal to mu_t, since a row of that block left out
+    would need a rectangle with the same right edge.  Its inner edge lo
+    is at least mu_{b+1}, and the chain can go on below b only from the
+    corner where lo == mu_{b+1} > 0; otherwise the rows below b are full.
+    """
+    parts = mu + (0,)
+    out = [(mu, ())]
+
+    def walk(t, above, chain):
+        b = t
+        while parts[b + 1] == parts[t]:
+            b += 1
+        rows, below = b - t + 1, parts[b + 1]
+        for lo in range(below, parts[t]):
+            inner = above + (lo,) * rows if lo else above
+            step = chain + ((rows, parts[t] - lo),)
+            out.append((inner + mu[b + 1 :], step))
+            if lo == below > 0:
+                walk(b + 1, inner, step)
+
+    for t in range(len(mu)):
+        walk(t, mu[:t], ())
+    return out
+
+
 def enumerate_pairs(ambient, flavor="unitary", bidegree=None):
-    """All compatible pairs in the window, graded on mu then lam."""
+    """All compatible pairs in the window, graded on mu then lam.
+
+    Each mu of the window (symmetric ones only for the square flavors)
+    gets its inner shapes by walking the rectangle chains down from the
+    top right: a rectangle spans a whole block of mu's equal parts below
+    its first row, and the chain goes on into the next block only from
+    the corner where the rectangle's inner edge meets that block.  The
+    walk builds each lam with its chain, so nothing is tested and
+    rejected; the lam of one mu are then put in graded order.
+    """
+    ambient = tuple(ambient)
+    _check_flavor(ambient, flavor)
+    square = flavor != "unitary"
+    if bidegree is not None:
+        bidegree = tuple(bidegree)
+        if len(bidegree) != 2:
+            raise ValueError("bidegree must be a pair, got %r" % (bidegree,))
+    shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
+    # Positions in the graded list order each mu's lam, let all pairs
+    # share one tuple per shape, and leave out the non-symmetric lam of
+    # the square flavors.
+    rank = {shape: i for i, shape in enumerate(shapes)}
     out = []
-    shapes = enumerate_in_rectangle(*ambient)
     for mu in shapes:
-        for lam in shapes:
-            if not contains(lam, mu):
+        if bidegree is not None and _degree(complement(mu, *ambient), flavor) != bidegree[1]:
+            continue
+        found = sorted((rank[lam], chain) for lam, chain in _chains_below(mu) if lam in rank)
+        for i, chain in found:
+            lam = shapes[i]
+            if bidegree is not None and _degree(lam, flavor) != bidegree[0]:
                 continue
-            try:
-                pair = make_pair(lam, mu, ambient, flavor)
-            except (IncompatiblePair, ShapeNotSymmetric):
-                continue
-            if bidegree is not None and vz_bidegree(pair) != tuple(bidegree):
-                continue
-            out.append(pair)
+            out.append(CompatiblePair(lam, mu, ambient, flavor, chain))
     return out
 
 
@@ -102,14 +155,18 @@ def mu_hat(pair):
     return complement(pair.mu, *pair.ambient)
 
 
+def _degree(shape, flavor):
+    if flavor == "unitary":
+        return weight(shape)
+    if flavor == "symplectic":
+        return weight(plus_part(shape))
+    return weight(minus_part(shape))
+
+
 def vz_bidegree(pair):
-    """Bidegree of the pair's base class, by flavor."""
-    top = mu_hat(pair)
-    if pair.flavor == "unitary":
-        return (weight(pair.lam), weight(top))
-    if pair.flavor == "symplectic":
-        return (weight(plus_part(pair.lam)), weight(plus_part(top)))
-    return (weight(minus_part(pair.lam)), weight(minus_part(top)))
+    """Bidegree of the pair's base class, by flavor: one degree from lam,
+    one from the complement of mu."""
+    return (_degree(pair.lam, pair.flavor), _degree(mu_hat(pair), pair.flavor))
 
 
 def levi_shape(pair):
@@ -276,6 +333,8 @@ def vanishing_criterion(pair, a, side):
 
 def low_degree_bound(ambient):
     p, q = ambient
+    if p < 0 or q < 0:
+        raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
     return 3 * p - 2 if p == q else p + q - 1
 
 
@@ -293,9 +352,8 @@ def low_degree_structure(pair):
     if p == q and len(pair.chain) == 1 and pair.chain[0] == (p - 1, p - 1):
         return "SquareStaircase"
     degree = sum(vz_bidegree(pair))
-    assert degree >= low_degree_bound(pair.ambient), (
-        "unclassified pair %r in low degree" % (pair,)
-    )
+    if degree < low_degree_bound(pair.ambient):
+        raise InvariantViolated("unclassified pair %r in low degree" % (pair,))
     return "Other"
 
 
@@ -327,7 +385,10 @@ def arthur_cover(ambient, max_degree):
         else:
             suggestion = ("GSp", p)
             ok = gsp_stable_criterion(pair.lam, pair.mu, p)
-        assert ok, "suggested subgroup fails its own criterion for %r" % (pair,)
+        if not ok:
+            raise InvariantViolated(
+                "suggested subgroup fails its own criterion for %r" % (pair,)
+            )
         out.append((pair, label, suggestion))
     return out
 

@@ -164,6 +164,27 @@ def test_shimura_pairs(capsys):
     assert json.loads(out) == {"pairs": [{"lambda": "", "mu": "2,2"}]}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shimura", "pairs", "--p", "-1", "--q", "2"),
+        ("shimura", "arthur", "--p", "-1", "--q", "2", "--max-degree", "0"),
+        ("shimura", "arthur", "--p", "-1", "--q", "2", "--max-degree", "-3"),
+    ],
+)
+def test_shimura_negative_window_is_malformed(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+def test_shimura_zero_side_windows(capsys):
+    for argv in (("--p", "0", "--q", "2"), ("--p", "2", "--q", "0"), ("--p", "0")):
+        rc, out, _ = run(capsys, "shimura", "pairs", *argv)
+        assert rc == 0 and out == '{"pairs":[{"lambda":"","mu":""}]}\n'
+
+
 def test_shimura_bidegree_and_chern(capsys):
     rc, out, _ = run(
         capsys, "shimura", "bidegree", "--p", "1", "--q", "1", "--lambda", "1", "--mu", "1"

@@ -149,6 +149,13 @@ def test_enumeration_counts_match_closed_form():
             assert count_in_rectangle(a + 1, b + 1) == math.comb(a + b + 2, a + 1)
 
 
+def test_enumeration_rejects_negative_sides():
+    for rows, cols in ((-1, 2), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            enumerate_in_rectangle(rows, cols)
+    assert enumerate_in_rectangle(0, 3) == enumerate_in_rectangle(3, 0) == [()]
+
+
 def test_symmetric_count_3x3():
     assert len(enumerate_in_rectangle(3, 3, symmetric_only=True)) == 8
 

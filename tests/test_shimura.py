@@ -1,5 +1,14 @@
-import pytest
+import functools
+import hashlib
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import schubcalc
 from schubcalc.cohomology import LeviShape
 from schubcalc.errors import (
     AmbientNotSquare,
@@ -12,12 +21,14 @@ from schubcalc.errors import (
 )
 from schubcalc.partition import (
     complement,
+    contains,
     enumerate_in_rectangle,
     minus_part,
     rect,
     weight,
 )
 from schubcalc.shimura import (
+    FLAVORS,
     OstarComponent,
     arthur_cover,
     chern_action_nonzero,
@@ -93,6 +104,89 @@ def _conj(lam):
             return tuple(out)
         out.append(n)
         j += 1
+
+
+def _generate_and_reject(ambient, flavor="unitary"):
+    # The enumeration the chain walk replaced: try every nested pair of
+    # window shapes and keep what make_pair accepts.  make_pair refuses
+    # non-symmetric shapes for the square flavors, so only symmetric
+    # candidates are tried there.
+    out = []
+    shapes = enumerate_in_rectangle(*ambient, symmetric_only=flavor != "unitary")
+    for mu in shapes:
+        for lam in shapes:
+            if not contains(lam, mu):
+                continue
+            try:
+                pair = make_pair(lam, mu, ambient, flavor)
+            except (IncompatiblePair, ShapeNotSymmetric):
+                continue
+            out.append(pair)
+    return out
+
+
+def _windows(limit):
+    for p in range(limit + 1):
+        for q in range(limit + 1):
+            for flavor in FLAVORS:
+                if flavor == "unitary" or p == q:
+                    yield (p, q), flavor
+
+
+def test_enumerate_pairs_matches_generate_and_reject():
+    cases = list(_windows(5)) + [((6, 6), "symplectic"), ((6, 6), "orthogonal")]
+    for ambient, flavor in cases:
+        assert enumerate_pairs(ambient, flavor) == _generate_and_reject(ambient, flavor), (
+            ambient,
+            flavor,
+        )
+
+
+def test_enumerate_pairs_bidegree_filter_matches_generate_and_reject():
+    for ambient in ((2, 3), (3, 3), (3, 4), (4, 5)):
+        size = ambient[0] * ambient[1]
+        for flavor in FLAVORS if ambient[0] == ambient[1] else ("unitary",):
+            by_bidegree = {}
+            for pair in _generate_and_reject(ambient, flavor):
+                by_bidegree.setdefault(vz_bidegree(pair), []).append(pair)
+            for i in range(size + 2):
+                for j in range(size + 2 - i):
+                    want = by_bidegree.get((i, j), [])
+                    assert enumerate_pairs(ambient, flavor, (i, j)) == want, (ambient, flavor, i, j)
+
+
+# SHA-256 of repr([(lam, mu, chain), ...]) for the 6x6 unitary window, as
+# the generate-and-reject enumeration produced it.
+GENERATE_AND_REJECT_6X6 = "f05831657e5bc63035b4428ca8e30c7fb49d0219cbe45b1e9acb398acb73f2fa"
+
+
+def test_enumerate_pairs_6x6_unitary_digest():
+    pairs = enumerate_pairs((6, 6))
+    assert len(pairs) == 17556
+    rows = repr([(p.lam, p.mu, p.chain) for p in pairs]).encode()
+    assert hashlib.sha256(rows).hexdigest() == GENERATE_AND_REJECT_6X6
+
+
+def test_enumerate_pairs_validates_up_front():
+    with pytest.raises(ValueError):
+        enumerate_pairs((2, 2), flavor="special")
+    with pytest.raises(AmbientNotSquare):
+        enumerate_pairs((2, 3), flavor="orthogonal")
+    with pytest.raises(ValueError):
+        enumerate_pairs((-1, 2))
+    assert [(p.lam, p.mu) for p in enumerate_pairs((0, 3))] == [((), ())]
+
+
+_cached_pairs = functools.lru_cache(maxsize=None)(enumerate_pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.sampled_from(FLAVORS), st.data())
+def test_emitted_pairs_pass_make_pair_unchanged(p, q, flavor, data):
+    if flavor != "unitary":
+        q = p
+    pair = data.draw(st.sampled_from(_cached_pairs((p, q), flavor)))
+    assert make_pair(pair.lam, pair.mu, pair.ambient, pair.flavor) == pair
 
 
 def test_vz_bidegree():
@@ -298,6 +392,53 @@ def test_arthur_cover():
     assert trivial and trivial[0][1] == "FullP"
     stairs = [r for r in got if r[1] == "SquareStaircase"]
     assert stairs and all(sug == ("GSp", 3) for _, _, sug in stairs)
+
+
+def test_arthur_cover_rejects_negative_window():
+    with pytest.raises(ValueError):
+        arthur_cover((-1, 2), 0)
+
+
+_OPTIMIZED_CHECKS = {
+    # A bound no pair reaches sends a 3x3 "Other" pair into the branch
+    # that must not fire below the bound.
+    "low_degree_structure": """
+        shimura.low_degree_bound = lambda ambient: 100
+        shimura.low_degree_structure(shimura.make_pair((), (1,), (3, 3)))
+    """,
+    # Every staircase pair in 3x3 is suggested GSp_3; a criterion that
+    # always says no makes the suggestion fail its own check.
+    "arthur_cover": """
+        shimura.gsp_stable_criterion = lambda lam, mu, p: False
+        shimura.arthur_cover((3, 3), 6)
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPTIMIZED_CHECKS))
+def test_invariants_raise_under_optimize(name):
+    script = textwrap.dedent(
+        """
+        import sys
+        from schubcalc import shimura
+        from schubcalc.errors import InvariantViolated
+        assert False, "asserts must be stripped"
+        try:
+        %s
+        except InvariantViolated:
+            sys.exit(0)
+        sys.exit(3)
+        """
+    ) % textwrap.indent(textwrap.dedent(_OPTIMIZED_CHECKS[name]).strip(), "    ")
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_partha_decomposition():
