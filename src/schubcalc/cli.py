@@ -27,8 +27,6 @@ from .partition import (
 )
 from .skew import SkewShape, parse_skew, rectangle_decomposition
 
-FLAVOR_CHOICES = ("unitary", "symplectic", "orthogonal")
-
 
 def _parse_factor(tok):
     if "x" in tok:
@@ -398,7 +396,7 @@ def build_parser():
 
     p_sh = sub.add_parser("shimura").add_subparsers(dest="op", required=True)
 
-    def sh(name, fn, pair_args=True, flavors=FLAVOR_CHOICES):
+    def sh(name, fn, pair_args=True, flavors=shimura.FLAVORS):
         sp = p_sh.add_parser(name, parents=[common])
         sp.add_argument("--p", type=int, required=True)
         sp.add_argument("--q", type=int)

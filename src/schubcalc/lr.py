@@ -1,9 +1,11 @@
 """Littlewood-Richardson numbers and inscription predicates.
 
-Coefficients are computed by counting ballot fillings directly.  The
-memo table is normalized under conjugation and under swapping the two
-lower shapes, and can be warmed from a plain-text cache file named by
-the SCHUBERT_CACHE_DIR environment variable (a directory gets a
+Coefficients count the fillings yielded by tableau.ballot_fillings, the
+one ballot-filling engine; count_images and the tableau product and
+rectification are kept only as independent cross-checks.  The memo
+table is normalized under conjugation and under swapping the two lower
+shapes, and can be warmed from a plain-text cache file named by the
+SCHUBERT_CACHE_DIR environment variable (a directory gets a
 lr-cache.txt inside it; anything else is taken as the file itself).
 Reads are plain dict lookups, so sharing the table across threads is
 safe; writers append whole lines only.
@@ -28,10 +30,10 @@ from .partition import (
 from .skew import (
     SkewShape,
     reverse_numbering,
-    size,
     sub_skews,
     symmetric_chain_split,
 )
+from .tableau import ballot_fillings
 
 
 class LRKey(NamedTuple):
@@ -121,37 +123,6 @@ def _canonical_key(outer, inner, content):
     return best
 
 
-def _count_fillings(outer, inner, cont):
-    # ballot fillings of outer/inner with the given content, counted by
-    # assigning cells in reverse-numbering order
-    order = reverse_numbering(SkewShape(outer, inner))
-    nletters = len(cont)
-    counts = [0] * (nletters + 1)
-    val = {}
-
-    def rec(k):
-        if k == len(order):
-            return 1
-        i, j = order[k]
-        above = val.get((i - 1, j), 0)
-        right = val.get((i, j + 1))
-        hi = nletters if right is None else min(nletters, right)
-        total = 0
-        for v in range(above + 1, hi + 1):
-            if counts[v] >= cont[v - 1]:
-                continue
-            if v != 1 and counts[v] >= counts[v - 1]:
-                continue
-            val[(i, j)] = v
-            counts[v] += 1
-            total += rec(k + 1)
-            counts[v] -= 1
-            del val[(i, j)]
-        return total
-
-    return rec(0)
-
-
 def lr_coefficient(outer, inner, content):
     """Multiplicity of outer in the product of inner and content."""
     outer, inner, content = partition(outer), partition(inner), partition(content)
@@ -165,7 +136,7 @@ def lr_coefficient(outer, inner, content):
     key = _canonical_key(outer, inner, content)
     if key in _memo:
         return _memo[key]
-    value = _count_fillings(outer, inner, content)
+    value = sum(1 for _ in ballot_fillings(SkewShape(outer, inner), content))
     _memo[key] = value
     _persist(path, key, value)
     return value

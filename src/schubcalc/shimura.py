@@ -376,11 +376,11 @@ def arthur_cover(ambient, max_degree):
         label = low_degree_structure(pair)
         if label == "FullP":
             suggestion = ("U", p, q - 1)
-            levi = LeviShape(((p, q - 1),) if q > 1 else (), None)
+            levi = LeviShape(((p, q - 1),) if p and q > 1 else (), None)
             ok, _ = injectivity_unitary(pair, levi)
         elif label == "FullQ":
             suggestion = ("U", p - 1, q)
-            levi = LeviShape(((p - 1, q),) if p > 1 else (), None)
+            levi = LeviShape(((p - 1, q),) if q and p > 1 else (), None)
             ok, _ = injectivity_unitary(pair, levi)
         else:
             suggestion = ("GSp", p)

@@ -3,6 +3,12 @@
 A tableau stores its skew shape plus the entries of each row.  Text
 form writes one row per "/" segment with "." for missing inner cells,
 so "..1/.1/2" is a filling of (3,2,1)/(2,1).
+
+ballot_fillings is the one ballot-filling engine: it fills the cells in
+reverse-numbering order by backtracking over flat lists (each cell's
+entry and the index of the cell above and to its right), and yields
+each filling as one reused list.  lr.lr_coefficient counts what it
+yields and enumerate_lr_fillings turns it into tableaux.
 """
 
 from bisect import bisect_right
@@ -10,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import SkewInputNotSupported
 from .partition import partition
-from .skew import SkewShape, reverse_numbering, size, skew
+from .skew import SkewShape, reverse_numbering, skew
 
 
 class Tableau(NamedTuple):
@@ -160,55 +166,66 @@ def rectify(t, corner_picker=max):
     return tableau((shape, ()), rows)
 
 
-def iter_lr_grids(s, cont):
-    """Yield ballot fillings of s with the given content as cell maps.
+def ballot_fillings(s, cont):
+    """Yield each ballot filling of s with the given content.
 
-    Cells are assigned in reverse-numbering order trying small letters
-    first, so fillings appear in lexicographic order of their
-    reverse-numbering words.
+    A filling is a list of entries in reverse_numbering(s) order.  The
+    same list is reused and overwritten from one filling to the next, so
+    copy it to keep it.  Letters are tried smallest first, so fillings
+    appear in lexicographic order of their reverse-numbering words.
+    A content whose weight differs from the size of s raises ValueError
+    on the first step.
     """
     cont = tuple(int(c) for c in cont)
-    if sum(cont) != size(s):
-        raise ValueError("content weight must match the shape size")
     order = reverse_numbering(s)
-    nletters = len(cont)
-    counts = [0] * (nletters + 1)
-    grid = {}
-
-    def place(k):
-        if k == len(order):
-            yield dict(grid)
-            return
-        i, j = order[k]
-        above = grid.get((i - 1, j), 0)
-        right = grid.get((i, j + 1))
-        for v in range(1, nletters + 1):
-            if counts[v] >= cont[v - 1]:
-                continue
-            if v != 1 and counts[v] >= counts[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue
-            if v <= above:
-                continue
-            grid[(i, j)] = v
+    if sum(cont) != len(order):
+        raise ValueError("content weight must match the shape size")
+    index = {cell: k for k, cell in enumerate(order)}
+    # neighbours placed before each cell; -1 where they lie outside the skew
+    above = [index.get((i - 1, j), -1) for i, j in order]
+    right = [index.get((i, j + 1), -1) for i, j in order]
+    n, nletters = len(order), len(cont)
+    cap = (n + 1,) + cont  # cap[v]: copies of v allowed
+    counts = [n + 1] + [0] * nletters  # counts[0] never stops the letter 1
+    vals = [0] * n
+    if not n:
+        yield vals
+        return
+    # backtracking without recursion: k is the cell being placed and v
+    # the next letter to try there
+    k, v = 0, 1
+    while True:
+        r = right[k]
+        hi = vals[r] if r >= 0 else nletters
+        while v <= hi and (counts[v] >= cap[v] or counts[v] >= counts[v - 1]):
+            v += 1
+        if v <= hi:
+            vals[k] = v
             counts[v] += 1
-            yield from place(k + 1)
-            counts[v] -= 1
-            del grid[(i, j)]
-
-    return place(0)
+            k += 1
+            if k < n:
+                a = above[k]
+                v = vals[a] + 1 if a >= 0 else 1
+                continue
+            yield vals
+        if not k:
+            return
+        k -= 1
+        v = vals[k]
+        counts[v] -= 1
+        v += 1
 
 
 def enumerate_lr_fillings(s, cont):
     """All ballot fillings of s with the given content, as tableaux."""
     pad = s.inner + (0,) * (len(s.outer) - len(s.inner))
+    lengths = [o - p for o, p in zip(s.outer, pad)]
     out = []
-    for grid in iter_lr_grids(s, cont):
-        rows = tuple(
-            tuple(grid[(i, j)] for j in range(pad[i - 1] + 1, s.outer[i - 1] + 1))
-            for i in range(1, len(s.outer) + 1)
-        )
+    for vals in ballot_fillings(s, cont):
+        rows, end = [], 0
+        for length in lengths:
+            rows.append(vals[end : end + length][::-1])
+            end += length
         out.append(tableau(s, rows))
     return out
 

@@ -259,6 +259,14 @@ def test_shimura_arthur(capsys):
     for e in entries:
         assert set(e) == {"lambda", "mu", "structure", "suggestion"}
         assert e["suggestion"].startswith(("U(", "GSp_"))
+    # a zero-side window suggests a block with a zero side and checks it
+    # against the empty Levi
+    for p, q, structure, suggestion in (("0", "2", "FullP", "U(0,1)"), ("2", "0", "FullQ", "U(1,0)")):
+        rc, out, _ = run(capsys, "shimura", "arthur", "--p", p, "--q", q, "--max-degree", "0")
+        assert rc == 0
+        assert json.loads(out) == {
+            "entries": [{"lambda": "", "mu": "", "structure": structure, "suggestion": suggestion}]
+        }
 
 
 def test_shimura_partha(capsys):

@@ -25,7 +25,7 @@ from schubcalc.partition import (
     rect,
     sort_key,
 )
-from schubcalc.skew import concat, rectangle_decomposition, skew
+from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, skew
 
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
@@ -37,6 +37,53 @@ def test_coefficient_frozen_examples():
     assert lr_coefficient((2, 2), (1,), (2, 1)) == 1
     # the classic multiplicity-two coefficient
     assert lr_coefficient((3, 2, 1), (2, 1), (2, 1)) == 2
+    # 40 cells deep, far past any filling the other tests reach
+    staircase = (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+    assert lr_coefficient(staircase, (5, 4, 3, 2, 1), (7, 7, 6, 5, 5, 4, 3, 2, 1)) == 1608
+
+
+def _count_fillings(outer, inner, cont):
+    # The counter the shared ballot_fillings engine replaced: the same
+    # ballot recursion over a dict of placed cells, kept as an oracle.
+    order = reverse_numbering(SkewShape(outer, inner))
+    nletters = len(cont)
+    counts = [0] * (nletters + 1)
+    val = {}
+
+    def rec(k):
+        if k == len(order):
+            return 1
+        i, j = order[k]
+        above = val.get((i - 1, j), 0)
+        right = val.get((i, j + 1))
+        hi = nletters if right is None else min(nletters, right)
+        total = 0
+        for v in range(above + 1, hi + 1):
+            if counts[v] >= cont[v - 1]:
+                continue
+            if v != 1 and counts[v] >= counts[v - 1]:
+                continue
+            val[(i, j)] = v
+            counts[v] += 1
+            total += rec(k + 1)
+            counts[v] -= 1
+            del val[(i, j)]
+        return total
+
+    return rec(0)
+
+
+def test_coefficient_matches_reference_counter_4x4():
+    checked = 0
+    for mu in SHAPES_4x4:
+        for lam in SHAPES_4x4:
+            if not contains(lam, mu):
+                continue
+            for nu in SHAPES_4x4:
+                if sum(mu) == sum(lam) + sum(nu):
+                    assert lr_coefficient(mu, lam, nu) == _count_fillings(mu, lam, nu), (mu, lam, nu)
+                    checked += 1
+    assert checked == 8084
 
 
 def test_coefficient_trivial_inner():
@@ -108,6 +155,28 @@ def test_schur_expand_frozen_examples():
         (2, 2, 2): 1,
         (2, 2, 1, 1): 1,
     }
+
+
+def _schur_at_ones(lam, n):
+    # s_lam(1^n) by the hook-content formula, in exact integers
+    conj = conjugate(lam)
+    num = den = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            num *= n + j - i
+            den *= (row - j - 1) + (conj[j] - i - 1) + 1
+    return num // den
+
+
+def test_schur_expand_dimension_identity():
+    # sum_nu c^nu_{lam,mu} s_nu(1^n) == s_lam(1^n) s_mu(1^n), which also
+    # catches any shape missing from the expansion's candidates
+    for lam in SHAPES_3x3:
+        for mu in SHAPES_3x3:
+            expansion = schur_expand(lam, mu)
+            for n in (len(lam) + len(mu), len(lam) + len(mu) + 3):
+                got = sum(c * _schur_at_ones(nu, n) for nu, c in expansion.items())
+                assert got == _schur_at_ones(lam, n) * _schur_at_ones(mu, n), (lam, mu, n)
 
 
 def test_expand_keys_graded():

@@ -7,6 +7,7 @@ from schubcalc.errors import SkewInputNotSupported
 from schubcalc.partition import contains, enumerate_in_rectangle
 from schubcalc.skew import skew, size
 from schubcalc.tableau import (
+    ballot_fillings,
     content,
     enumerate_lr_fillings,
     enumerate_ssyt,
@@ -145,6 +146,16 @@ def test_lr_fillings_frozen_examples():
     assert len(enumerate_lr_fillings(skew((2, 2), (1,)), (2, 1))) == 1
     got = enumerate_lr_fillings(skew((2, 2), (1,)), (2, 1))[0]
     assert format_tableau(got) == ".1/12"
+
+
+def test_ballot_fillings_reuse_one_list_in_reverse_numbering_order():
+    s = skew((3, 2, 1), (2, 1))
+    seen = []
+    for vals in ballot_fillings(s, (2, 1)):
+        seen.append((vals, list(vals)))
+    assert len({id(vals) for vals, _ in seen}) == 1
+    assert [copy for _, copy in seen] == [reverse_word(t) for t in enumerate_lr_fillings(s, (2, 1))]
+    assert [list(v) for v in ballot_fillings(skew((), ()), ())] == [[]]
 
 
 def test_lr_fillings_weight_mismatch_rejected():
