@@ -432,9 +432,16 @@ def build_parser():
     return top
 
 
+# Building the parser costs about a hundred parses, so main() builds it
+# on its first call and reuses it.
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         doc, shapes = args.fn(args)
     except DomainError as err:

@@ -115,12 +115,15 @@ def _persist(path, key, value):
 
 
 def _canonical_key(outer, inner, content):
-    best = None
-    for i, c in ((inner, content), (content, inner)):
-        for k in (LRKey(outer, i, c), LRKey(conjugate(outer), conjugate(i), conjugate(c))):
-            if best is None or k < best:
-                best = k
-    return best
+    # the least of the four keys reached by swapping the lower shapes
+    # and by conjugating all three; cache file lines are keyed by it
+    o, i, c = conjugate(outer), conjugate(inner), conjugate(content)
+    return min(
+        LRKey(outer, inner, content),
+        LRKey(outer, content, inner),
+        LRKey(o, i, c),
+        LRKey(o, c, i),
+    )
 
 
 def lr_coefficient(outer, inner, content):

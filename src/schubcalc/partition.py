@@ -68,10 +68,20 @@ def weight(lam):
 
 
 def conjugate(lam):
-    """Transpose the diagram."""
+    """Transpose the diagram.
+
+    One pass down the rows: column j's length is the last row i with
+    lam_i >= j, and that row only moves up as j grows.
+    """
     if not lam:
         return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    out = []
+    i = len(lam)
+    for j in range(1, lam[0] + 1):
+        while lam[i - 1] < j:
+            i -= 1
+        out.append(i)
+    return tuple(out)
 
 
 def contains(inner, outer):

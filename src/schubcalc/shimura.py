@@ -370,8 +370,8 @@ def arthur_cover(ambient, max_degree):
         )
     out = []
     for pair in enumerate_pairs(ambient):
-        degree = sum(vz_bidegree(pair))
-        if degree > max_degree:
+        # the unitary vz_bidegree summed: |lam| + |complement of mu|
+        if weight(pair.lam) + p * q - weight(pair.mu) > max_degree:
             continue
         label = low_degree_structure(pair)
         if label == "FullP":
@@ -397,6 +397,8 @@ def partha_decomposition(ambient, degree):
     """Window sizes (a, b) whose classes land in the given codegree;
     the top codegree is carried by the point stratum (0, 0)."""
     p, q = ambient
+    if p < 0 or q < 0:
+        raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
     if not 0 <= degree <= p * q:
         raise ValueError("degree %d outside 0..%d" % (degree, p * q))
     if degree == p * q:

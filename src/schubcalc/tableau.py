@@ -9,6 +9,12 @@ reverse-numbering order by backtracking over flat lists (each cell's
 entry and the index of the cell above and to its right), and yields
 each filling as one reused list.  lr.lr_coefficient counts what it
 yields and enumerate_lr_fillings turns it into tableaux.
+
+The neighbour indices come from the row bounds alone.  Row r holds
+columns inner_r+1 .. outer_r, numbered right to left from start_r, so
+cell (r, j) has index start_r + outer_r - j.  The cell above it is in
+the skew when inner_{r-1} < j <= outer_{r-1}, and the cell to its right
+when j < outer_r, in which case it is the previous index.
 """
 
 from bisect import bisect_right
@@ -16,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import SkewInputNotSupported
 from .partition import partition
-from .skew import SkewShape, reverse_numbering, skew
+from .skew import SkewShape, skew
 
 
 class Tableau(NamedTuple):
@@ -177,14 +183,19 @@ def ballot_fillings(s, cont):
     on the first step.
     """
     cont = tuple(int(c) for c in cont)
-    order = reverse_numbering(s)
-    if sum(cont) != len(order):
+    # neighbours placed before each cell, -1 where they lie outside the
+    # skew, from the row bounds (see the module docstring)
+    above, right = [], []
+    start = prev_start = prev_o = prev_i = 0
+    for o, i in zip(s.outer, s.inner + (0,) * (len(s.outer) - len(s.inner))):
+        for j in range(o, i, -1):
+            above.append(prev_start + prev_o - j if prev_i < j <= prev_o else -1)
+            right.append(len(right) - 1 if j < o else -1)
+        prev_start, prev_o, prev_i = start, o, i
+        start += o - i
+    if sum(cont) != start:
         raise ValueError("content weight must match the shape size")
-    index = {cell: k for k, cell in enumerate(order)}
-    # neighbours placed before each cell; -1 where they lie outside the skew
-    above = [index.get((i - 1, j), -1) for i, j in order]
-    right = [index.get((i, j + 1), -1) for i, j in order]
-    n, nletters = len(order), len(cont)
+    n, nletters = start, len(cont)
     cap = (n + 1,) + cont  # cap[v]: copies of v allowed
     counts = [n + 1] + [0] * nletters  # counts[0] never stops the letter 1
     vals = [0] * n

@@ -26,6 +26,7 @@ from schubcalc.partition import (
     sort_key,
 )
 from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, skew
+from schubcalc.tableau import ballot_fillings
 
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
@@ -84,6 +85,76 @@ def test_coefficient_matches_reference_counter_4x4():
                     assert lr_coefficient(mu, lam, nu) == _count_fillings(mu, lam, nu), (mu, lam, nu)
                     checked += 1
     assert checked == 8084
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ((4, 2, 2), (2, 2, 1)),  # empty middle row
+        ((5, 3, 3, 1), (3, 3, 1)),  # empty middle row
+        ((5, 5, 2, 2), (5, 2, 2)),  # empty top row
+        ((3, 3, 3), (3, 3)),  # two empty top rows
+        ((4, 4, 1, 1), (2, 2, 1)),  # an empty row between two pieces
+        ((6, 4, 4, 2, 2, 1), (4, 4, 2, 2, 1)),  # three pieces
+    ],
+)
+def test_ballot_fillings_match_reference_counter_on_broken_skews(outer, inner):
+    # the neighbour indices come from row bounds, so rows with no cells
+    # and pieces that share no column must not shift them
+    n = sum(outer) - sum(inner)
+    counts = []
+    for nu in enumerate_in_rectangle(n, n, weight=n):
+        got = sum(1 for _ in ballot_fillings(SkewShape(outer, inner), nu))
+        assert got == _count_fillings(outer, inner, nu), nu
+        counts.append(got)
+    assert any(counts)
+
+
+def _canonical_key_six_conjugates(outer, inner, content):
+    # The key loop _canonical_key replaced, kept as an oracle: it
+    # conjugates outer once for each order of the lower shapes.
+    best = None
+    for i, c in ((inner, content), (content, inner)):
+        for k in (lr_mod.LRKey(outer, i, c), lr_mod.LRKey(conjugate(outer), conjugate(i), conjugate(c))):
+            if best is None or k < best:
+                best = k
+    return best
+
+
+def test_canonical_key_matches_reference_4x4():
+    checked = 0
+    for mu in SHAPES_4x4:
+        for lam in SHAPES_4x4:
+            if not contains(lam, mu):
+                continue
+            for nu in SHAPES_4x4:
+                if sum(mu) != sum(lam) + sum(nu):
+                    continue
+                key = lr_mod._canonical_key(mu, lam, nu)
+                assert key == _canonical_key_six_conjugates(mu, lam, nu), (mu, lam, nu)
+                mu_c, lam_c, nu_c = conjugate(mu), conjugate(lam), conjugate(nu)
+                assert key == lr_mod._canonical_key(mu, nu, lam)
+                assert key == lr_mod._canonical_key(mu_c, lam_c, nu_c)
+                assert key == lr_mod._canonical_key(mu_c, nu_c, lam_c)
+                checked += 1
+    assert checked == 8084
+
+
+def test_cache_lines_from_older_versions_still_match(tmp_path, monkeypatch):
+    # lines as earlier versions wrote them, with made-up values so that
+    # only a key match can return them
+    monkeypatch.setattr(lr_mod, "_memo", {})
+    monkeypatch.setattr(lr_mod, "_loaded_path", None)
+    target = tmp_path / "lr-cache.txt"
+    target.write_text(
+        "5,4,4,3,3,2,1,1;3,2,2,1;4,4,3,2,1,1 9011\n"
+        "4,4,4,2,2,2;2,2,2;4,4,4 9001\n"
+        "3,2,2,1,1;2,1;3,2,1 9002\n"
+    )
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
+    assert lr_coefficient((8, 6, 5, 3, 1), (4, 3, 1), (6, 4, 3, 2)) == 9011
+    assert lr_coefficient((6, 6, 3, 3), (3, 3, 3, 3), (3, 3)) == 9001
+    assert lr_coefficient((5, 3, 1), (2, 1), (3, 2, 1)) == 9002
 
 
 def test_coefficient_trivial_inner():

@@ -54,6 +54,21 @@ def test_conjugate_frozen_example():
     assert conjugate((5, 3, 3, 2)) == (4, 4, 3, 1, 1)
 
 
+def _conjugate_by_column_counts(lam):
+    # The definition conjugate replaced, kept as an oracle: column j's
+    # length counts the parts of at least j.
+    if not lam:
+        return ()
+    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+
+
+def test_conjugate_matches_column_counts_7x7():
+    shapes = enumerate_in_rectangle(7, 7)
+    assert len(shapes) == 3432
+    for lam in shapes:
+        assert conjugate(lam) == _conjugate_by_column_counts(lam), lam
+
+
 def test_complement_frozen_example():
     assert complement((5, 3, 3, 2), 5, 5) == (5, 3, 2, 2)
 

@@ -399,6 +399,20 @@ def test_arthur_cover_rejects_negative_window():
         arthur_cover((-1, 2), 0)
 
 
+def test_arthur_cover_keeps_pairs_by_vz_degree():
+    # arthur_cover reads each pair's degree off the two weights; the
+    # pairs it keeps must be those whose vz_bidegree sums within range
+    for p in range(6):
+        for q in range(6):
+            pairs = enumerate_pairs((p, q))
+            degrees = [sum(vz_bidegree(pair)) for pair in pairs]
+            assert degrees == [weight(pair.lam) + p * q - weight(pair.mu) for pair in pairs]
+            top = low_degree_bound((p, q)) - 1
+            for max_degree in range(top + 1):
+                kept = [pair for pair, _, _ in arthur_cover((p, q), max_degree)]
+                assert kept == [pair for pair, d in zip(pairs, degrees) if d <= max_degree]
+
+
 _OPTIMIZED_CHECKS = {
     # A bound no pair reaches sends a 3x3 "Other" pair into the branch
     # that must not fire below the bound.
@@ -451,6 +465,12 @@ def test_partha_decomposition():
     assert partha_decomposition(amb, 0) == [(2, 3)]
     with pytest.raises(ValueError):
         partha_decomposition(amb, 7)
+    # a negative side is refused, even where the degree range is not empty
+    for window in ((-2, -2), (2, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            partha_decomposition(window, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        partha_decomposition((-2, -2), 1)
 
 
 def test_components_unitary():

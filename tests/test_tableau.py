@@ -161,6 +161,10 @@ def test_ballot_fillings_reuse_one_list_in_reverse_numbering_order():
 def test_lr_fillings_weight_mismatch_rejected():
     with pytest.raises(ValueError):
         enumerate_lr_fillings(skew((2, 2), (1,)), (1, 1))
+    # the generator raises on its first step, not when it is called
+    fillings = ballot_fillings(skew((2, 2), (1,)), (1, 1))
+    with pytest.raises(ValueError):
+        next(fillings)
 
 
 def test_lr_fillings_rectify_to_superstandard():
