@@ -25,7 +25,7 @@ from .partition import (
     plus_part,
     rect,
 )
-from .skew import SkewShape, parse_skew, rectangle_decomposition
+from .skew import SkewShape, _padded_inner, parse_skew, rectangle_decomposition
 
 
 def _parse_factor(tok):
@@ -82,7 +82,7 @@ def _tensor_doc(x):
 def _draw(shape):
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape, ())
-    pad = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    pad = _padded_inner(shape)
     if not shape.outer:
         return "(empty)"
     return "\n".join(
@@ -432,16 +432,9 @@ def build_parser():
     return top
 
 
-# Building the parser costs about a hundred parses, so main() builds it
-# on its first call and reuses it.
-_parser = None
-
-
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         doc, shapes = args.fn(args)
     except DomainError as err:

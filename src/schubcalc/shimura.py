@@ -166,6 +166,10 @@ def _degree(shape, flavor):
 def vz_bidegree(pair):
     """Bidegree of the pair's base class, by flavor: one degree from lam,
     one from the complement of mu."""
+    if pair.flavor == "unitary":
+        # the complement of mu weighs pq - |mu|; no need to build it
+        p, q = pair.ambient
+        return (weight(pair.lam), p * q - weight(pair.mu))
     return (_degree(pair.lam, pair.flavor), _degree(mu_hat(pair), pair.flavor))
 
 
@@ -370,8 +374,7 @@ def arthur_cover(ambient, max_degree):
         )
     out = []
     for pair in enumerate_pairs(ambient):
-        # the unitary vz_bidegree summed: |lam| + |complement of mu|
-        if weight(pair.lam) + p * q - weight(pair.mu) > max_degree:
+        if sum(vz_bidegree(pair)) > max_degree:
             continue
         label = low_degree_structure(pair)
         if label == "FullP":

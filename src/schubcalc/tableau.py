@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import SkewInputNotSupported
 from .partition import partition
-from .skew import SkewShape, skew
+from .skew import SkewShape, _padded_inner, skew
 
 
 class Tableau(NamedTuple):
@@ -38,7 +38,7 @@ class Tableau(NamedTuple):
 def tableau(shape, rows):
     """Build and validate a semistandard tableau on the given shape."""
     shape = skew(*shape)
-    pad = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    pad = _padded_inner(shape)
     rows = tuple(tuple(int(v) for v in r) for r in rows)
     if len(rows) != len(shape.outer):
         raise ValueError("expected %d rows" % len(shape.outer))
@@ -187,7 +187,7 @@ def ballot_fillings(s, cont):
     # skew, from the row bounds (see the module docstring)
     above, right = [], []
     start = prev_start = prev_o = prev_i = 0
-    for o, i in zip(s.outer, s.inner + (0,) * (len(s.outer) - len(s.inner))):
+    for o, i in zip(s.outer, _padded_inner(s)):
         for j in range(o, i, -1):
             above.append(prev_start + prev_o - j if prev_i < j <= prev_o else -1)
             right.append(len(right) - 1 if j < o else -1)
@@ -229,8 +229,7 @@ def ballot_fillings(s, cont):
 
 def enumerate_lr_fillings(s, cont):
     """All ballot fillings of s with the given content, as tableaux."""
-    pad = s.inner + (0,) * (len(s.outer) - len(s.inner))
-    lengths = [o - p for o, p in zip(s.outer, pad)]
+    lengths = [o - p for o, p in zip(s.outer, _padded_inner(s))]
     out = []
     for vals in ballot_fillings(s, cont):
         rows, end = [], 0
@@ -244,7 +243,7 @@ def enumerate_lr_fillings(s, cont):
 def enumerate_ssyt(shape, max_entry):
     """All semistandard fillings of the shape with entries <= max_entry."""
     shape = skew(*shape)
-    pad = shape.inner + (0,) * (len(shape.outer) - len(shape.inner))
+    pad = _padded_inner(shape)
     order = [
         (i, j)
         for i in range(1, len(shape.outer) + 1)
@@ -273,7 +272,7 @@ def enumerate_ssyt(shape, max_entry):
 
 
 def format_tableau(t):
-    pad = t.inner + (0,) * (len(t.outer) - len(t.inner))
+    pad = _padded_inner(t)
     return "/".join(
         "." * pad[i - 1] + "".join(str(v) for v in row)
         for i, row in enumerate(t.rows, start=1)

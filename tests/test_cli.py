@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from schubcalc import cli
 from schubcalc.cli import main
 
 
@@ -77,40 +76,6 @@ def test_pretty_keeps_stdout_clean(capsys):
     assert plain[1] == pretty[1] == '{"chain":["3x4","2x2","1x2"]}\n'
     assert plain[2] == ""
     assert "[ ]" in pretty[2]
-
-
-def _outcome(capsys, argv):
-    try:
-        rc = main(list(argv))
-    except SystemExit as exc:
-        rc = exc.code
-    out, err = capsys.readouterr()
-    return rc, out, err
-
-
-def test_parser_built_once_and_reused(capsys, monkeypatch):
-    calls = [
-        ("lr", "coeff", "--outer", "3,2,1", "--inner", "2,1", "--nu", "2,1"),
-        ("partition", "conj", "--partition", "1", "--bogus"),
-        ("partition", "comp", "--partition", "abc", "--box", "2x2"),
-        ("skew", "decompose", "--skew", "4,4,2/2,2", "--pretty"),
-    ]
-    fresh = []
-    for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(_outcome(capsys, argv))
-    assert [rc for rc, _, _ in fresh] == [0, 2, 2, 0]
-    built = []
-    build = cli.build_parser
-
-    def counting_build():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    monkeypatch.setattr(cli, "_parser", None)
-    assert [_outcome(capsys, argv) for argv in calls] == fresh
-    assert len(built) == 1
 
 
 def test_skew_decompose_rejects_overlap(capsys):

@@ -400,13 +400,16 @@ def test_arthur_cover_rejects_negative_window():
 
 
 def test_arthur_cover_keeps_pairs_by_vz_degree():
-    # arthur_cover reads each pair's degree off the two weights; the
-    # pairs it keeps must be those whose vz_bidegree sums within range
+    # vz_bidegree reads a unitary pair's degrees off the two weights; they
+    # must be the weights of lam and of the complement of mu, and the
+    # pairs arthur_cover keeps those whose degrees sum within range
     for p in range(6):
         for q in range(6):
             pairs = enumerate_pairs((p, q))
+            assert [vz_bidegree(pair) for pair in pairs] == [
+                (weight(pair.lam), weight(mu_hat(pair))) for pair in pairs
+            ]
             degrees = [sum(vz_bidegree(pair)) for pair in pairs]
-            assert degrees == [weight(pair.lam) + p * q - weight(pair.mu) for pair in pairs]
             top = low_degree_bound((p, q)) - 1
             for max_degree in range(top + 1):
                 kept = [pair for pair, _, _ in arthur_cover((p, q), max_degree)]
