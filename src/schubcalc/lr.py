@@ -4,11 +4,18 @@ Coefficients count the fillings yielded by tableau.ballot_fillings, the
 one ballot-filling engine; count_images and the tableau product and
 rectification are kept only as independent cross-checks.  The memo
 table is normalized under conjugation and under swapping the two lower
-shapes, and can be warmed from a plain-text cache file named by the
-SCHUBERT_CACHE_DIR environment variable (a directory gets a
+shapes.  A miss can be answered from a plain-text cache file named by
+the SCHUBERT_CACHE_DIR environment variable (a directory gets a
 lr-cache.txt inside it; anything else is taken as the file itself).
-Reads are plain dict lookups, so sharing the table across threads is
-safe; writers append whole lines only.
+Each line is "OUTER;INNER;CONTENT VALUE" with the key in canonical
+form, as _key_text writes it.  The file is read once per path into an
+index from key text to value, without parsing any shape: a line is
+matched by its exact canonical text, the first line with an integer
+value wins, and lines in any other form are ignored, so their
+coefficient is recomputed and appended in canonical form.  Appends use
+O_APPEND and stay atomic only for lines shorter than PIPE_BUF.  Reads
+are plain dict lookups, so sharing the table across threads is safe;
+writers append whole lines only.
 """
 
 import os
@@ -22,7 +29,6 @@ from .partition import (
     format_partition,
     is_symmetric,
     minus_part,
-    parse_partition,
     partition,
     plus_part,
     sort_key,
@@ -50,7 +56,7 @@ class MultiLRKey(NamedTuple):
 _memo = {}  # canonical LRKey -> int
 _multi_memo = {}  # canonical MultiLRKey -> int
 _expand_memo = {}  # sorted factor pair -> {mu: coeff}
-_loaded_path = None
+_loaded = None  # (path, {key text: value}) of the cache file last read
 
 
 def _cache_path():
@@ -62,52 +68,49 @@ def _cache_path():
     return root
 
 
-def _key_to_line(key, value):
-    return "%s;%s;%s %d" % (
+def _key_text(key):
+    # the OUTER;INNER;CONTENT text a cache line holds before its value
+    return "%s;%s;%s" % (
         format_partition(key.outer),
         format_partition(key.inner),
         format_partition(key.content),
-        value,
     )
 
 
-def _parse_line(line):
-    head, _, tail = line.strip().rpartition(" ")
-    parts = head.split(";")
-    if len(parts) != 3:
-        raise ValueError(line)
-    return LRKey(*(parse_partition(p) for p in parts)), int(tail)
+def _read_index(path):
+    # {key text: value}, without parsing any shape; the first line with
+    # an integer value wins, anything else is skipped
+    index = {}
+    try:
+        with open(path) as fh:
+            for line in fh:
+                text, _, tail = line.strip().rpartition(" ")
+                if not text or text in index:
+                    continue
+                try:
+                    index[text] = int(tail)
+                except ValueError:
+                    continue
+    except OSError:
+        pass
+    return index
 
 
 def _sync_cache():
-    global _loaded_path
+    # the path and index travel together, so that an index is only ever
+    # consulted for the file it was read from
+    global _loaded
     path = _cache_path()
-    if path == _loaded_path:
-        return path
-    _loaded_path = path
-    if path:
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        key, value = _parse_line(line)
-                    except (ValueError, IndexError):
-                        continue  # skip malformed lines
-                    _memo.setdefault(key, value)
-        except OSError:
-            pass
-    return path
+    if _loaded is None or _loaded[0] != path:
+        _loaded = (path, _read_index(path) if path else {})
+    return _loaded
 
 
-def _persist(path, key, value):
-    if not path:
-        return
+def _persist(path, text, value):
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, (_key_to_line(key, value) + "\n").encode())
+            os.write(fd, ("%s %d\n" % (text, value)).encode())
         finally:
             os.close(fd)
     except OSError:
@@ -135,13 +138,17 @@ def lr_coefficient(outer, inner, content):
         return 0
     if len(content) > len(outer) or (content and content[0] > outer[0]):
         return 0
-    path = _sync_cache()
     key = _canonical_key(outer, inner, content)
     if key in _memo:
         return _memo[key]
-    value = sum(1 for _ in ballot_fillings(SkewShape(outer, inner), content))
+    path, index = _sync_cache()
+    text = _key_text(key) if path else None
+    value = index.get(text)
+    if value is None:
+        value = sum(1 for _ in ballot_fillings(SkewShape(outer, inner), content))
+        if path:
+            _persist(path, text, value)
     _memo[key] = value
-    _persist(path, key, value)
     return value
 
 

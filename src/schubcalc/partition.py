@@ -15,7 +15,7 @@ from .errors import NotSymmetric, ShapeOutOfBox
 
 def partition(parts):
     """Normalize to a canonical partition tuple, validating monotonicity."""
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(map(int, parts))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     for a, b in zip(parts, parts[1:]):

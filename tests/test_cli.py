@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubcalc
 from schubcalc.cli import main
 
 
@@ -287,3 +292,18 @@ def test_shimura_ostar(capsys):
         {"label": "", "members": [["R", 0], ["S", 0]]},
         {"label": "1", "members": [["R", 1], ["R", 2], ["S", 1]]},
     ]
+
+
+def test_second_run_reads_every_coefficient_from_the_cache(tmp_path):
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(tmp_path))
+    argv = [sys.executable, "-m", "schubcalc.cli", "cohom", "product"]
+    argv += ["--ambient", "4x4", "--lhs", "4,4,4,2", "--rhs", "4,3,2,2"]
+    runs, files = [], []
+    for _ in range(2):
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+        files.append((tmp_path / "lr-cache.txt").read_bytes())
+    assert runs[0] == runs[1]
+    assert files[0] and files[0] == files[1]

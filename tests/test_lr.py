@@ -22,6 +22,7 @@ from schubcalc.partition import (
     contains,
     enumerate_in_rectangle,
     fits,
+    parse_partition,
     rect,
     sort_key,
 )
@@ -145,7 +146,7 @@ def test_cache_lines_from_older_versions_still_match(tmp_path, monkeypatch):
     # lines as earlier versions wrote them, with made-up values so that
     # only a key match can return them
     monkeypatch.setattr(lr_mod, "_memo", {})
-    monkeypatch.setattr(lr_mod, "_loaded_path", None)
+    monkeypatch.setattr(lr_mod, "_loaded", None)
     target = tmp_path / "lr-cache.txt"
     target.write_text(
         "5,4,4,3,3,2,1,1;3,2,2,1;4,4,3,2,1,1 9011\n"
@@ -249,6 +250,18 @@ def test_schur_expand_dimension_identity():
             for n in (len(lam) + len(mu), len(lam) + len(mu) + 3):
                 got = sum(c * _schur_at_ones(nu, n) for nu, c in expansion.items())
                 assert got == _schur_at_ones(lam, n) * _schur_at_ones(mu, n), (lam, mu, n)
+
+
+@given(
+    st.sampled_from(SHAPES_4x4),
+    st.sampled_from(SHAPES_4x4),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_schur_expand_dimension_identity_4x4(lam, mu, extra):
+    n = len(lam) + len(mu) + extra
+    got = sum(c * _schur_at_ones(nu, n) for nu, c in schur_expand(lam, mu).items())
+    assert got == _schur_at_ones(lam, n) * _schur_at_ones(mu, n)
 
 
 def test_expand_keys_graded():
@@ -440,13 +453,46 @@ def test_antisymmetric_inscription_examples():
         inscribes_antisymmetric((1, 1), skew(rect(2, 2)))
 
 
+def _parse_line(line):
+    # The shape-parsing reader of the loader that the text index
+    # replaced, kept as an oracle.
+    head, _, tail = line.strip().rpartition(" ")
+    parts = head.split(";")
+    if len(parts) != 3:
+        raise ValueError(line)
+    return lr_mod.LRKey(*(parse_partition(p) for p in parts)), int(tail)
+
+
+def _eager_table(path):
+    # The old eager loader: every line parsed, the first valid one wins.
+    table = {}
+    with open(path) as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                key, value = _parse_line(line)
+            except (ValueError, IndexError):
+                continue
+            table.setdefault(key, value)
+    return table
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    # an empty memo and no cache file read yet
+    monkeypatch.setattr(lr_mod, "_memo", {})
+    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    monkeypatch.setattr(lr_mod, "_loaded", None)
+
+
 def test_cache_file_created_and_parseable(tmp_path, monkeypatch):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     value = lr_coefficient((7, 5, 2), (4, 1), (5, 3, 1))
     path = tmp_path / "lr-cache.txt"
     assert path.exists()
     lines = [l for l in path.read_text().splitlines() if l.strip()]
-    parsed = dict(lr_mod._parse_line(l) for l in lines)
+    parsed = dict(_parse_line(l) for l in lines)
     key = lr_mod._canonical_key((7, 5, 2), (4, 1), (5, 3, 1))
     assert parsed[key] == value
 
@@ -458,8 +504,8 @@ def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch):
         "not a cache line\n"
         "a;b 1\n"
         "1,1;;1,1 x\n"
-        + lr_mod._key_to_line(key, 7777)
-        + "\n"
+        + lr_mod._key_text(key)
+        + " 7777\n"
     )
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     # the preloaded value is trusted over a fresh count
@@ -472,5 +518,102 @@ def test_cache_env_can_name_a_file(tmp_path, monkeypatch):
     lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))
     assert target.exists()
     line = target.read_text().splitlines()[-1]
-    k, v = lr_mod._parse_line(line)
+    k, v = _parse_line(line)
     assert v == lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))
+
+
+def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache):
+    target = tmp_path / "lr-cache.txt"
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
+    for lam in SHAPES_3x3:
+        for mu in SHAPES_3x3:
+            schur_expand(lam, mu)
+    written = target.read_text()
+    text = lr_mod._key_text
+    bad_first = lr_mod._canonical_key((3, 2, 1), (2, 1), (2, 1))
+    two_values = lr_mod._canonical_key((3, 3, 2), (2, 1), (3, 2))
+    no_newline = lr_mod._canonical_key((5, 4, 3, 2, 1), (3, 2), (4, 3, 2, 1))
+    assert text(bad_first) in written and text(two_values) in written
+    assert text(no_newline) not in written
+    target.write_text(
+        "\n"
+        "not a cache line\n"
+        + text(bad_first) + " x\n"
+        + text(bad_first) + " 4242\n"
+        "   \n"
+        + text(two_values) + " 111\n"
+        + text(two_values) + " 222\n"
+        + written
+        + "\n"
+        + text(no_newline) + " 333"
+    )
+    table = _eager_table(target)
+    assert table[bad_first] == 4242
+    assert table[two_values] == 111
+    assert table[no_newline] == 333
+    before = target.read_bytes()
+    monkeypatch.setattr(lr_mod, "_memo", {})
+    monkeypatch.setattr(lr_mod, "_loaded", None)
+    checked = 0
+    for key, value in table.items():
+        if key == lr_mod._canonical_key(*key):
+            assert lr_coefficient(*key) == value, key
+            checked += 1
+    assert checked == len(table) > 1000
+    # every answer came from the file, so nothing was appended
+    assert target.read_bytes() == before
+
+
+def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache):
+    # the one change from the eager loader: a line the program would not
+    # have written is not trusted, and the count is appended instead
+    args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+    true_value = lr_coefficient(*args)
+    key = lr_mod._canonical_key(*args)
+    padded = lr_mod._key_text(key).replace(";", ",0;", 1) + " 7777"
+    spaced = lr_mod._key_text(key).replace(",", ", ").replace(";", " ;") + " 7777"
+    for line in (padded, spaced):
+        target = tmp_path / ("cache-%d.txt" % len(line))
+        target.write_text(line + "\n")
+        assert _eager_table(target) == {key: 7777}
+        monkeypatch.setattr(lr_mod, "_memo", {})
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
+        assert lr_coefficient(*args) == true_value != 7777
+        assert target.read_text().splitlines() == [
+            line,
+            "%s %d" % (lr_mod._key_text(key), true_value),
+        ]
+
+
+def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache):
+    args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
+    key = lr_mod._canonical_key(*args)
+    old = tmp_path / "old.txt"
+    old.write_text(lr_mod._key_text(key) + " 7777\n")
+
+    def load_old():
+        # read the old file's index through a miss on another key
+        monkeypatch.setattr(lr_mod, "_memo", {})
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(old))
+        assert lr_coefficient((2,), (1,), (1,)) == 1
+        assert lr_mod._loaded[0] == str(old)
+
+    # a new SCHUBERT_CACHE_DIR
+    load_old()
+    new_dir = tmp_path / "new"
+    new_dir.mkdir()
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(new_dir))
+    true_value = lr_coefficient(*args)
+    assert true_value != 7777
+    assert (new_dir / "lr-cache.txt").read_text().splitlines() == [
+        "%s %d" % (lr_mod._key_text(key), true_value)
+    ]
+
+    # a reset of the loaded state with the variable unset
+    load_old()
+    before = old.read_text()
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR")
+    monkeypatch.setattr(lr_mod, "_loaded", None)
+    assert lr_coefficient(*args) == true_value
+    assert old.read_text() == before

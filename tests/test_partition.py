@@ -40,6 +40,53 @@ def test_canonicalization():
         partition((1, 2))
 
 
+def _partition_by_generator(parts):
+    # The normalizer partition replaced, kept as an oracle: the same
+    # checks over a tuple built by a generator expression.
+    parts = tuple(int(x) for x in parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    for a, b in zip(parts, parts[1:]):
+        if a < b:
+            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+    if parts and parts[-1] < 0:
+        raise ValueError("parts must be nonnegative: %r" % (parts,))
+    return parts
+
+
+def _outcome(fn, parts):
+    try:
+        return "ok", fn(parts)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_partition_matches_generator_oracle():
+    inputs = [
+        [3, 2, 2],
+        ["4", " 3", "1 "],
+        " 3",
+        "321",
+        (5, 3, 0, 0),
+        [0, 0],
+        (),
+        "",
+        [2, -1],
+        (-1,),
+        [1, 2],
+        ["3", "5"],
+        ["3", "x"],
+        ["3 1"],
+        [None],
+        5,
+        [2.0, 1.5],
+    ]
+    inputs += enumerate_in_rectangle(5, 5)
+    inputs += [lam + (0,) for lam in enumerate_in_rectangle(5, 5)]
+    for parts in inputs:
+        assert _outcome(partition, parts) == _outcome(_partition_by_generator, parts), parts
+
+
 def test_parse_format_round_trip():
     assert parse_partition("5,3,3,2") == (5, 3, 3, 2)
     assert parse_partition("") == ()
