@@ -259,11 +259,7 @@ def _cmd_sh_inject(args):
         pair = _pair_of(args, "symplectic")
         return {"injective": shimura.injectivity_gsp(pair)}, [("window", pair.skew)]
     pair = _pair_of(args, "unitary")
-    levi = cohomology.LeviShape(
-        tuple(parse_box(tok) for tok in args.factors.split("*")) if args.factors else (),
-        None,
-    )
-    ok, nu = shimura.injectivity_unitary(pair, levi)
+    ok, nu = shimura.injectivity_unitary(pair, _parse_levi(args.factors))
     witness = {"nu": format_partition(nu)} if ok else None
     return {"injective": ok, "witness": witness}, [("window", pair.skew)]
 

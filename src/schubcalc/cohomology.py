@@ -1,9 +1,9 @@
 """Schubert-basis cohomology of rectangle Grassmannians.
 
 Classes are finite integer combinations of basis elements indexed by
-partitions inside the ambient rectangle; products expand in the basis
-and drop everything that falls outside the window.  Grading is by
-number of cells (complex codimension).
+partitions inside the ambient rectangle; products build and count only
+the shapes inside the window, as the classes vanishing outside it are
+never formed.  Grading is by number of cells (complex codimension).
 """
 
 from dataclasses import dataclass, field
@@ -133,15 +133,14 @@ def tensor_class(factors, terms):
 
 
 def cup(x, y):
-    """Product in the ambient window; terms leaving the window vanish."""
+    """Product in the ambient window; only shapes inside it are built."""
     if x.ambient != y.ambient:
         raise AmbientMismatch("%r vs %r" % (x.ambient, y.ambient))
     out = {}
     for lam, c1 in x.terms.items():
         for nu, c2 in y.terms.items():
-            for mu, c in schur_expand(lam, nu).items():
-                if fits(mu, *x.ambient):
-                    out[mu] = out.get(mu, 0) + c1 * c2 * c
+            for mu, c in schur_expand(lam, nu, x.ambient).items():
+                out[mu] = out.get(mu, 0) + c1 * c2 * c
     return cohom_class(x.ambient, out)
 
 
@@ -156,9 +155,8 @@ def cup_tensor(x, y):
             for lam, nu, box in zip(lams, nus, x.factors):
                 grown = []
                 for prefix, c in partial:
-                    for mu, cc in schur_expand(lam, nu).items():
-                        if fits(mu, *box):
-                            grown.append((prefix + (mu,), c * cc))
+                    for mu, cc in schur_expand(lam, nu, box).items():
+                        grown.append((prefix + (mu,), c * cc))
                 partial = grown
             for keys, c in partial:
                 out[keys] = out.get(keys, 0) + c1 * c2 * c

@@ -31,14 +31,10 @@ from .partition import (
     minus_part,
     partition,
     plus_part,
+    rect,
     sort_key,
 )
-from .skew import (
-    SkewShape,
-    reverse_numbering,
-    sub_skews,
-    symmetric_chain_split,
-)
+from .skew import SkewShape, reverse_numbering, symmetric_chain_split
 from .tableau import ballot_fillings
 
 
@@ -55,7 +51,7 @@ class MultiLRKey(NamedTuple):
 
 _memo = {}  # canonical LRKey -> int
 _multi_memo = {}  # canonical MultiLRKey -> int
-_expand_memo = {}  # sorted factor pair -> {mu: coeff}
+_expand_memo = {}  # (sorted factor pair, box or None) -> {mu: coeff}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
 
@@ -152,8 +148,9 @@ def lr_coefficient(outer, inner, content):
     return value
 
 
-def _mu_candidates(lam, nu):
-    # shapes that can support a nonzero coefficient over lam and nu
+def _mu_candidates(lam, nu, outer=None):
+    # shapes that can support a nonzero coefficient over lam and nu, in
+    # graded order; with outer given, only those inside it
     total = sum(lam) + sum(nu)
     nrows = len(lam) + len(nu)
     cap = (lam[0] if lam else 0) + (nu[0] if nu else 0)
@@ -161,9 +158,15 @@ def _mu_candidates(lam, nu):
         max(lam[i] if i < len(lam) else 0, nu[i] if i < len(nu) else 0)
         for i in range(nrows)
     ]
+    highs = [cap] * nrows
+    if outer is not None:
+        highs = [min(cap, outer[i]) if i < len(outer) else 0 for i in range(nrows)]
+    # tail[i] and room[i]: the fewest and the most cells rows i.. can hold
     tail = [0] * (nrows + 1)
+    room = [0] * (nrows + 1)
     for i in range(nrows - 1, -1, -1):
         tail[i] = tail[i + 1] + lows[i]
+        room[i] = room[i + 1] + highs[i]
     out = []
 
     def rec(i, prev, rem, acc):
@@ -172,7 +175,8 @@ def _mu_candidates(lam, nu):
             return
         if i == nrows or prev == 0:
             return
-        for v in range(max(lows[i], 1), min(prev, rem - tail[i + 1]) + 1):
+        lo = max(lows[i], 1, rem - room[i + 1])
+        for v in range(lo, min(prev, highs[i], rem - tail[i + 1]) + 1):
             acc.append(v)
             rec(i + 1, v, rem - v, acc)
             acc.pop()
@@ -182,18 +186,24 @@ def _mu_candidates(lam, nu):
     return out
 
 
-def schur_expand(lam, nu):
-    """Expand the product of two straight shapes: {mu: coefficient}."""
+def schur_expand(lam, nu, box=None):
+    """Expand the product of two straight shapes: {mu: coefficient}.
+
+    With box = (rows, cols), only the shapes inside that window are
+    built and counted, so the result is the full product restricted to
+    the window; a product of degree above rows * cols is empty at once.
+    """
     lam, nu = partition(lam), partition(nu)
-    pair = tuple(sorted((lam, nu)))
-    if pair in _expand_memo:
-        return dict(_expand_memo[pair])
+    key = (tuple(sorted((lam, nu))), box)
+    if key in _expand_memo:
+        return dict(_expand_memo[key])
+    outer = None if box is None else rect(*box)
     result = {}
-    for mu in _mu_candidates(lam, nu):
+    for mu in _mu_candidates(lam, nu, outer):
         c = lr_coefficient(mu, lam, nu)
         if c:
             result[mu] = c
-    _expand_memo[pair] = result
+    _expand_memo[key] = result
     return dict(result)
 
 
@@ -325,7 +335,7 @@ def inscribes_witness(nu, s):
     """A shape between s.inner and s.outer reached from s.inner by nu,
     or None."""
     nu = partition(nu)
-    for mu in sub_skews(s, sum(nu)):
+    for mu in _mu_candidates(s.inner, nu, s.outer):
         if lr_coefficient(mu, s.inner, nu):
             return mu
     return None

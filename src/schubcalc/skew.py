@@ -16,7 +16,6 @@ from .partition import (
     is_symmetric,
     parse_partition,
     partition,
-    sort_key,
 )
 
 
@@ -133,28 +132,6 @@ def concat(factors):
         outer.extend(p + shift for p in f)
         inner.extend([shift] * len(f))
     return SkewShape(partition(outer), partition(inner))
-
-
-def sub_skews(s, extra):
-    """Partitions between inner and outer holding exactly extra more
-    cells than the inner shape, in graded order."""
-    if extra < 0 or sum(s.inner) + extra > sum(s.outer):
-        return []
-    pad = _padded_inner(s)
-    found = []
-
-    def rec(i, prefix, left):
-        if i == len(s.outer):
-            if left == 0:
-                found.append(partition(prefix))
-            return
-        top = s.outer[i] if not prefix else min(s.outer[i], prefix[-1])
-        for v in range(pad[i], top + 1):
-            if v - pad[i] <= left:
-                rec(i + 1, prefix + [v], left - (v - pad[i]))
-
-    rec(0, [], extra)
-    return sorted(found, key=sort_key)
 
 
 def symmetric_chain_split(s):

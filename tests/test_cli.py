@@ -213,6 +213,17 @@ def test_shimura_bidegree_and_chern(capsys):
     assert rc == 0 and doc["nonzero"] and "center" in doc["witness"]
 
 
+def test_inject_factors_parse_like_a_levi(capsys):
+    # a blank --factors is the empty Levi, as a blank --levi is
+    base = ["shimura", "inject", "--type", "unitary", "--p", "2", "--q", "2", "--lambda", "1,1", "--mu", "2,2"]
+    outs = set()
+    for factors in ("", " "):
+        rc, out, _ = run(capsys, *base, "--factors", factors)
+        assert rc == 0
+        outs.add(out)
+    assert outs == {'{"injective":false,"witness":null}\n'}
+
+
 def test_shimura_inject_gsp(capsys):
     rc, out, _ = run(
         capsys,
@@ -294,16 +305,28 @@ def test_shimura_ostar(capsys):
     ]
 
 
-def test_second_run_reads_every_coefficient_from_the_cache(tmp_path):
+def _cohom_product_run(cache_dir, lhs, rhs):
+    # one real schubcalc process with its own coefficient cache
     src = str(Path(schubcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(cache_dir))
     argv = [sys.executable, "-m", "schubcalc.cli", "cohom", "product"]
-    argv += ["--ambient", "4x4", "--lhs", "4,4,4,2", "--rhs", "4,3,2,2"]
+    argv += ["--ambient", "4x4", "--lhs", lhs, "--rhs", rhs]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_second_run_reads_every_coefficient_from_the_cache(tmp_path):
     runs, files = [], []
     for _ in range(2):
-        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        runs.append(done.stdout)
+        runs.append(_cohom_product_run(tmp_path, "2,1", "2,1"))
         files.append((tmp_path / "lr-cache.txt").read_bytes())
     assert runs[0] == runs[1]
     assert files[0] and files[0] == files[1]
+
+
+def test_product_above_the_window_degree_computes_nothing(tmp_path):
+    # degree 14 + 11 > 16: no shape of the product fits the 4x4 window
+    out = _cohom_product_run(tmp_path, "4,4,4,2", "4,3,2,2")
+    assert out == b'{"ambient":"4x4","terms":[]}\n'
+    assert not (tmp_path / "lr-cache.txt").exists()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -138,15 +139,36 @@ def test_whitney_splitting():
 
 
 def test_poincare_pair():
-    amb = (2, 2)
-    shapes = enumerate_in_rectangle(*amb)
-    for nu in shapes:
-        for mu in shapes:
-            if weight(nu) + weight(mu) != 4:
-                continue
-            want = 1 if mu == complement(nu, *amb) else 0
-            assert poincare_pair(schubert_class(amb, nu), schubert_class(amb, mu)) == want
-    assert poincare_pair(unit(amb), schubert_class(amb, (2, 2))) == 1
+    # pairing two basis classes gives 1 exactly on complementary shapes
+    for amb in [(p, q) for p in range(1, 5) for q in range(1, 5)]:
+        shapes = enumerate_in_rectangle(*amb)
+        for nu in shapes:
+            for mu in shapes:
+                want = 1 if mu == complement(nu, *amb) else 0
+                assert poincare_pair(schubert_class(amb, nu), schubert_class(amb, mu)) == want
+
+
+def _standard_tableaux_of_rectangle(rows, cols):
+    # the hook length formula for the rows x cols rectangle
+    hooks = 1
+    for i in range(rows):
+        for j in range(cols):
+            hooks *= (rows - 1 - i) + (cols - 1 - j) + 1
+    return math.factorial(rows * cols) // hooks
+
+
+def test_top_power_of_the_divisor_class():
+    # sigma_1^(pq) = f [pt], f the number of standard tableaux of the
+    # window, and one more factor leaves the window
+    assert _standard_tableaux_of_rectangle(4, 4) == 24024
+    for amb in [(p, q) for p in range(1, 5) for q in range(1, 5)]:
+        sigma1 = schubert_class(amb, (1,))
+        power = unit(amb)
+        for _ in range(amb[0] * amb[1]):
+            power = cup(power, sigma1)
+        f = _standard_tableaux_of_rectangle(*amb)
+        assert power == cohom_class(amb, {rect(*amb): f})
+        assert cup(power, sigma1) == cohom_class(amb, {})
 
 
 def test_restrict_levi_frozen():

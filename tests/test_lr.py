@@ -14,6 +14,7 @@ from schubcalc.lr import (
     inscribes_witness,
     lr_coefficient,
     multi_lr_coefficient,
+    partitions_by_weight,
     schur_expand,
 )
 from schubcalc.partition import (
@@ -23,10 +24,11 @@ from schubcalc.partition import (
     enumerate_in_rectangle,
     fits,
     parse_partition,
+    partition,
     rect,
     sort_key,
 )
-from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, skew
+from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, size, skew
 from schubcalc.tableau import ballot_fillings
 
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
@@ -269,6 +271,57 @@ def test_expand_keys_graded():
     assert keys == sorted(keys, key=sort_key)
 
 
+def _expand_in_box(lam, mu, box):
+    # the product restricted to the box, counted over the box's own
+    # shapes of the right weight, without the candidate enumerator
+    out = {}
+    for nu in partitions_by_weight(*box).get(sum(lam) + sum(mu), ()):
+        c = lr_coefficient(nu, lam, mu)
+        if c:
+            out[nu] = c
+    return sorted(out.items(), key=lambda kv: sort_key(kv[0]))
+
+
+def test_bounded_expansion_matches_window_oracle():
+    for rows in range(5):
+        for cols in range(5):
+            shapes = enumerate_in_rectangle(rows, cols)
+            for lam in shapes:
+                for mu in shapes:
+                    got = schur_expand(lam, mu, (rows, cols))
+                    assert list(got.items()) == _expand_in_box(lam, mu, (rows, cols)), (lam, mu, rows, cols)
+
+
+# the windows beyond 4x4 whose products criteria-mix asks for
+_LARGE_WINDOWS = [(4, 5), (5, 5), (4, 6), (5, 6), (6, 6)]
+
+
+@st.composite
+def _window_pairs(draw):
+    box = draw(st.sampled_from(_LARGE_WINDOWS))
+    shapes = enumerate_in_rectangle(*box)
+    return box, draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+
+
+@given(_window_pairs())
+@settings(max_examples=100, deadline=None)
+def test_bounded_expansion_matches_window_oracle_large(case):
+    box, lam, mu = case
+    assert list(schur_expand(lam, mu, box).items()) == _expand_in_box(lam, mu, box)
+
+
+def test_bounded_and_full_expansions_are_memoized_apart(monkeypatch):
+    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    full = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
+    inside = {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1}
+    assert schur_expand((2, 1), (2, 1), (3, 3)) == inside
+    assert schur_expand((2, 1), (2, 1)) == full
+    assert schur_expand((2, 1), (2, 1), (3, 3)) == inside
+    # a degree above the window's area leaves nothing to build
+    assert schur_expand((2, 1), (2, 1), (2, 2)) == {}
+    assert schur_expand((2, 1), (2, 1)) == full
+
+
 @st.composite
 def _triples(draw):
     mu = draw(st.sampled_from(SHAPES_4x4))
@@ -418,6 +471,80 @@ def test_inscribes_witness_is_real():
     assert lr_coefficient(mu, s.inner, (2, 1)) > 0
 
 
+def sub_skews(s, extra):
+    # The enumerator inscribes_witness walked before it shared the
+    # bounded LR candidates, kept as an oracle: the partitions between
+    # s.inner and s.outer with extra more cells than s.inner, in graded
+    # order.
+    if extra < 0 or sum(s.inner) + extra > sum(s.outer):
+        return []
+    pad = s.inner + (0,) * (len(s.outer) - len(s.inner))
+    found = []
+
+    def rec(i, prefix, left):
+        if i == len(s.outer):
+            if left == 0:
+                found.append(partition(prefix))
+            return
+        top = s.outer[i] if not prefix else min(s.outer[i], prefix[-1])
+        for v in range(pad[i], top + 1):
+            if v - pad[i] <= left:
+                rec(i + 1, prefix + [v], left - (v - pad[i]))
+
+    rec(0, [], extra)
+    return sorted(found, key=sort_key)
+
+
+def test_sub_skews_frozen_example():
+    assert sub_skews(skew((2, 2), (1,)), 1) == [(2,), (1, 1)]
+
+
+def test_sub_skews_are_exactly_the_intermediate_shapes():
+    for s in all_skews(3, 3, 9):
+        for extra in range(size(s) + 1):
+            got = set(sub_skews(s, extra))
+            want = {
+                mu
+                for mu in SHAPES_3x3
+                if contains(s.inner, mu)
+                and contains(mu, s.outer)
+                and sum(mu) == sum(s.inner) + extra
+            }
+            assert got == want
+
+
+def _first_witness(nu, s):
+    for mu in sub_skews(s, sum(nu)):
+        if lr_coefficient(mu, s.inner, nu):
+            return mu
+    return None
+
+
+def _inscription_queries(rows, cols):
+    # every (nu, skew) of the window with nu no larger than the skew
+    shapes = enumerate_in_rectangle(rows, cols)
+    return [
+        (nu, s)
+        for s in all_skews(rows, cols, rows * cols)
+        for nu in shapes
+        if sum(nu) <= size(s)
+    ]
+
+
+def test_inscribes_witness_matches_sub_skews_oracle_3x4():
+    queries = _inscription_queries(3, 4)
+    assert len(queries) == 5281
+    for nu, s in queries:
+        assert inscribes_witness(nu, s) == _first_witness(nu, s), (nu, s)
+
+
+@given(st.sampled_from(_inscription_queries(4, 4)))
+@settings(max_examples=500, deadline=None)
+def test_inscribes_witness_matches_sub_skews_oracle_4x4(query):
+    nu, s = query
+    assert inscribes_witness(nu, s) == _first_witness(nu, s)
+
+
 def test_windows_with_equal_inscription_sets():
     # two different inner shapes under the same outer shape can admit
     # exactly the same inscriptions, so no inscription-based criterion
@@ -486,7 +613,7 @@ def fresh_cache(monkeypatch):
     monkeypatch.setattr(lr_mod, "_loaded", None)
 
 
-def test_cache_file_created_and_parseable(tmp_path, monkeypatch):
+def test_cache_file_created_and_parseable(tmp_path, monkeypatch, fresh_cache):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     value = lr_coefficient((7, 5, 2), (4, 1), (5, 3, 1))
     path = tmp_path / "lr-cache.txt"
@@ -497,7 +624,7 @@ def test_cache_file_created_and_parseable(tmp_path, monkeypatch):
     assert parsed[key] == value
 
 
-def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch):
+def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch, fresh_cache):
     target = tmp_path / "seeded.txt"
     key = lr_mod._canonical_key((5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2))
     target.write_text(
@@ -512,7 +639,7 @@ def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch):
     assert lr_coefficient((5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)) == 7777
 
 
-def test_cache_env_can_name_a_file(tmp_path, monkeypatch):
+def test_cache_env_can_name_a_file(tmp_path, monkeypatch, fresh_cache):
     target = tmp_path / "mycache.txt"
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))

@@ -17,7 +17,6 @@ from schubcalc.skew import (
     reverse_numbering,
     size,
     skew,
-    sub_skews,
     symmetric_chain_split,
 )
 
@@ -91,24 +90,6 @@ def test_reverse_numbering_is_a_bijection():
         seq = reverse_numbering(s)
         assert sorted(seq) == sorted(cells(s))
         assert len(set(seq)) == len(seq) == size(s)
-
-
-def test_sub_skews_frozen_example():
-    assert sub_skews(skew((2, 2), (1,)), 1) == [(2,), (1, 1)]
-
-
-def test_sub_skews_are_exactly_the_intermediate_shapes():
-    for s in all_skews(3, 3):
-        for extra in range(size(s) + 1):
-            got = set(sub_skews(s, extra))
-            want = {
-                mu
-                for mu in enumerate_in_rectangle(3, 3)
-                if contains(s.inner, mu)
-                and contains(mu, s.outer)
-                and sum(mu) == sum(s.inner) + extra
-            }
-            assert got == want
 
 
 def test_chain_tiling_is_exact():
