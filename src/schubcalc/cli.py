@@ -28,6 +28,13 @@ from .partition import (
 from .skew import SkewShape, _padded_inner, parse_skew, rectangle_decomposition
 
 
+def _split(text, sep, count, form):
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise ValueError("expected %s, got %r" % (form, text))
+    return parts
+
+
 def _parse_factor(tok):
     if "x" in tok:
         return rect(*parse_box(tok))
@@ -55,7 +62,7 @@ def _parse_factor_pairs(text):
     if not text:
         return out
     for tok in text.split(";"):
-        box, lam, mu = tok.split(":")
+        box, lam, mu = _split(tok, ":", 3, "BOX:LAMBDA:MU[;...]")
         out.append((parse_box(box), parse_partition(lam), parse_partition(mu)))
     return out
 
@@ -218,7 +225,7 @@ def _cmd_cohom_dual_class(args):
 def _cmd_sh_pairs(args):
     bidegree = None
     if args.bidegree:
-        i, j = args.bidegree.split(",")
+        i, j = _split(args.bidegree, ",", 2, "I,J")
         bidegree = (int(i), int(j))
     pairs = shimura.enumerate_pairs(_ambient(args), args.type, bidegree)
     doc = {

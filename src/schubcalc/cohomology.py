@@ -16,12 +16,7 @@ from .errors import (
     ShapeNotSymmetric,
     ShapeOutOfBox,
 )
-from .lr import (
-    iter_weight_split,
-    multi_lr_coefficient,
-    partitions_by_weight,
-    schur_expand,
-)
+from .lr import expand_product, iter_weight_split, multi_lr_coefficient, schur_expand
 from .partition import (
     complement,
     conjugate,
@@ -44,50 +39,29 @@ def _normalize_terms(terms, sortfn):
     return dict(sorted(clean.items(), key=sortfn))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CohomClass:
     ambient: tuple
     terms: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomClass)
-            and self.ambient == other.ambient
-            and self.terms == other.terms
-        )
 
     def coefficient(self, lam):
         return self.terms.get(partition(lam), 0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TensorClass:
     factors: tuple  # (rows, cols) per component
     terms: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorClass)
-            and self.factors == other.factors
-            and self.terms == other.terms
-        )
 
     def coefficient(self, lams):
         return self.terms.get(tuple(partition(l) for l in lams), 0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IsotropicClass:
     rank: int
     flavor: str  # "lagrangian" or "orthogonal"
     terms: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IsotropicClass)
-            and (self.rank, self.flavor) == (other.rank, other.flavor)
-            and self.terms == other.terms
-        )
 
     def coefficient(self, key):
         return self.terms.get(partition(key), 0)
@@ -212,13 +186,8 @@ def dual_class_unitary(ambient, levi):
     support shape, normalized so the orbit itself appears with weight 1."""
     check_levi_unitary(ambient, levi)
     full = [rect(a, b) for a, b in levi.rects]
-    degree = sum(a * b for a, b in levi.rects)
-    out = {}
-    for nu in partitions_by_weight(*ambient).get(degree, ()):
-        m = multi_lr_coefficient(nu, full)
-        if m:
-            out[complement(nu, *ambient)] = m
-    return cohom_class(ambient, out)
+    support = expand_product(full, ambient)
+    return cohom_class(ambient, {complement(nu, *ambient): m for nu, m in support.items()})
 
 
 def _require_square(ambient):

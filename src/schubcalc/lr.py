@@ -2,20 +2,27 @@
 
 Coefficients count the fillings yielded by tableau.ballot_fillings, the
 one ballot-filling engine; count_images and the tableau product and
-rectification are kept only as independent cross-checks.  The memo
-table is normalized under conjugation and under swapping the two lower
-shapes.  A miss can be answered from a plain-text cache file named by
-the SCHUBERT_CACHE_DIR environment variable (a directory gets a
-lr-cache.txt inside it; anything else is taken as the file itself).
-Each line is "OUTER;INNER;CONTENT VALUE" with the key in canonical
-form, as _key_text writes it.  The file is read once per path into an
-index from key text to value, without parsing any shape: a line is
-matched by its exact canonical text, the first line with an integer
-value wins, and lines in any other form are ignored, so their
-coefficient is recomputed and appended in canonical form.  Appends use
-O_APPEND and stay atomic only for lines shorter than PIPE_BUF.  Reads
-are plain dict lookups, so sharing the table across threads is safe;
-writers append whole lines only.
+rectification are kept only as independent cross-checks.
+
+Products of more than two shapes are iterated two at a time, with every
+partial product kept inside an optional outer shape: expand_product
+takes a box, and a multi-factor coefficient is read off the product
+kept inside its own target, as every shape on a chain ending at the
+target lies inside it.
+
+The memo table of single coefficients is normalized under conjugation
+and under swapping the two lower shapes.  A miss can be answered from a
+plain-text cache file named by the SCHUBERT_CACHE_DIR environment
+variable (a directory gets a lr-cache.txt inside it; anything else is
+taken as the file itself).  Each line is "OUTER;INNER;CONTENT VALUE"
+with the key in canonical form, as _key_text writes it.  The file is
+read once per path into an index from key text to value, without parsing
+any shape: a line is matched by its exact canonical text, the first line
+with an integer value wins, and lines in any other form are ignored, so
+their coefficient is recomputed and appended in canonical form.  Appends
+use O_APPEND and stay atomic only for lines shorter than PIPE_BUF.
+Reads are plain dict lookups, so sharing the table across threads is
+safe; writers append whole lines only.
 """
 
 import os
@@ -51,7 +58,7 @@ class MultiLRKey(NamedTuple):
 
 _memo = {}  # canonical LRKey -> int
 _multi_memo = {}  # canonical MultiLRKey -> int
-_expand_memo = {}  # (sorted factor pair, box or None) -> {mu: coeff}
+_expand_memo = {}  # (sorted factor pair, outer shape or None) -> {mu: coeff}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
 
@@ -186,6 +193,33 @@ def _mu_candidates(lam, nu, outer=None):
     return out
 
 
+def _expand(lam, nu, outer):
+    # {mu: coefficient} over the shapes inside outer (every shape when
+    # outer is None), in graded order; the memo's own dict, not a copy
+    key = (tuple(sorted((lam, nu))), outer)
+    result = _expand_memo.get(key)
+    if result is None:
+        result = {}
+        for mu in _mu_candidates(lam, nu, outer):
+            c = lr_coefficient(mu, lam, nu)
+            if c:
+                result[mu] = c
+        _expand_memo[key] = result
+    return result
+
+
+def _product(factors, outer):
+    # iterated product of straight shapes, kept inside outer
+    acc = {(): 1}
+    for f in factors:
+        nxt = {}
+        for mu, c in acc.items():
+            for mu2, c2 in _expand(mu, f, outer).items():
+                nxt[mu2] = nxt.get(mu2, 0) + c * c2
+        acc = nxt
+    return acc
+
+
 def schur_expand(lam, nu, box=None):
     """Expand the product of two straight shapes: {mu: coefficient}.
 
@@ -193,30 +227,20 @@ def schur_expand(lam, nu, box=None):
     built and counted, so the result is the full product restricted to
     the window; a product of degree above rows * cols is empty at once.
     """
-    lam, nu = partition(lam), partition(nu)
-    key = (tuple(sorted((lam, nu))), box)
-    if key in _expand_memo:
-        return dict(_expand_memo[key])
     outer = None if box is None else rect(*box)
-    result = {}
-    for mu in _mu_candidates(lam, nu, outer):
-        c = lr_coefficient(mu, lam, nu)
-        if c:
-            result[mu] = c
-    _expand_memo[key] = result
-    return dict(result)
+    return dict(_expand(partition(lam), partition(nu), outer))
 
 
-def expand_product(factors):
-    """Iterated expansion of a list of straight shapes."""
-    acc = {(): 1}
-    for f in factors:
-        nxt = {}
-        for mu, c in acc.items():
-            for mu2, c2 in schur_expand(mu, f).items():
-                nxt[mu2] = nxt.get(mu2, 0) + c * c2
-        acc = dict(sorted(nxt.items(), key=lambda kv: sort_key(kv[0])))
-    return acc
+def expand_product(factors, box=None):
+    """Iterated expansion of a list of straight shapes, in graded order.
+
+    With box = (rows, cols), every partial product is kept inside that
+    window, as in schur_expand, so the result is the full product
+    restricted to the window.
+    """
+    outer = None if box is None else rect(*box)
+    acc = _product([partition(f) for f in factors], outer)
+    return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
 
 
 _by_weight_memo = {}
@@ -270,16 +294,9 @@ def multi_lr_coefficient(target, factors):
     )
     if key in _multi_memo:
         return _multi_memo[key]
-    head, rest = factors[0], factors[1:]
-    rows = sum(len(f) for f in rest)
-    cols = sum(f[0] for f in rest)
-    rem = sum(target) - sum(head)
-    total = 0
-    for beta in partitions_by_weight(rows, cols).get(rem, ()):
-        c = lr_coefficient(target, beta, head)
-        if c:
-            total += c * multi_lr_coefficient(beta, rest)
-    _multi_memo[key] = total
+    # every partial product on a chain ending at target lies inside it,
+    # so the product kept inside target holds the full coefficient
+    total = _multi_memo[key] = _product(factors, target).get(target, 0)
     return total
 
 

@@ -23,12 +23,12 @@ from .errors import (
     TrivialPairExcluded,
 )
 from .lr import (
+    expand_product,
     inscribes,
     inscribes_antisymmetric,
     inscribes_symmetric,
     inscribes_witness,
     multi_lr_coefficient,
-    partitions_by_weight,
 )
 from .partition import (
     complement,
@@ -210,11 +210,8 @@ def injectivity_unitary(pair, levi):
         raise ValueError("unitary pairs only")
     check_levi_unitary(pair.ambient, levi)
     full = [rect(a, b) for a, b in levi.rects]
-    degree = sum(a * b for a, b in levi.rects)
-    for nu in partitions_by_weight(*pair.ambient).get(degree, ()):
-        if multi_lr_coefficient(nu, full) and inscribes(
-            complement(nu, *pair.ambient), pair.skew
-        ):
+    for nu in expand_product(full, pair.ambient):
+        if inscribes(complement(nu, *pair.ambient), pair.skew):
             return True, nu
     return False, None
 

@@ -59,6 +59,15 @@ def test_malformed_input_exit_code(capsys):
     assert rc == 2
     assert out == ""
     assert "error" in err
+    # a compound option names the form it expects
+    pair = ("--p", "3", "--q", "4", "--lambda", "2,2", "--mu", "4,4")
+    for argv, form in [
+        (("shimura", "pairs", "--p", "2", "--q", "2", "--bidegree", "1"), "expected I,J, got '1'"),
+        (("shimura", "kunneth-vanish", *pair, "--factor-pairs", "1x1:1"), "expected BOX:LAMBDA:MU[;...], got '1x1:1'"),
+    ]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert form in err
 
 
 def test_unknown_flag_is_rejected(capsys):

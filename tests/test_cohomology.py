@@ -7,6 +7,7 @@ from schubcalc.cohomology import (
     CohomClass,
     IsotropicClass,
     LeviShape,
+    TensorClass,
     chern_q,
     chern_t,
     cohom_class,
@@ -57,6 +58,25 @@ def test_class_normalization():
     assert x != cohom_class((2, 3), {(1,): 2})
     with pytest.raises(ShapeOutOfBox):
         cohom_class((2, 2), {(3,): 1})
+
+
+@pytest.mark.parametrize(
+    "make, amb, other_amb",
+    [
+        (CohomClass, (2, 2), (2, 3)),
+        (lambda amb, terms: TensorClass(amb, {(k,): c for k, c in terms.items()}), ((2, 2),), ((2, 3),)),
+        (lambda amb, terms: IsotropicClass(amb, "lagrangian", terms), 2, 3),
+    ],
+)
+def test_class_equality_is_by_value(make, amb, other_amb):
+    x = make(amb, {(1,): 2})
+    assert x == make(amb, {(1,): 2})
+    assert x != make(other_amb, {(1,): 2})
+    assert x != make(amb, {(1,): 3})
+    assert x != make(amb, {(2,): 2})
+    assert x != x.terms
+    with pytest.raises(TypeError):
+        hash(x)
 
 
 def test_cup_frozen_examples():

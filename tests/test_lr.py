@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubcalc.lr as lr_mod
+from schubcalc.cohomology import LeviShape, cohom_class, dual_class_unitary
 from schubcalc.errors import ShapeNotSymmetric
 from schubcalc.lr import (
     count_images,
@@ -28,6 +30,7 @@ from schubcalc.partition import (
     rect,
     sort_key,
 )
+from schubcalc.shimura import enumerate_pairs, injectivity_unitary
 from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, size, skew
 from schubcalc.tableau import ballot_fillings
 
@@ -310,6 +313,11 @@ def test_bounded_expansion_matches_window_oracle_large(case):
     assert list(schur_expand(lam, mu, box).items()) == _expand_in_box(lam, mu, box)
 
 
+def test_list_and_tuple_boxes_expand_alike():
+    assert schur_expand((2, 1), (2, 1), [3, 3]) == schur_expand((2, 1), (2, 1), (3, 3))
+    assert expand_product([(2, 1), (1,), (1,)], [2, 3]) == expand_product([(2, 1), (1,), (1,)], (2, 3))
+
+
 def test_bounded_and_full_expansions_are_memoized_apart(monkeypatch):
     monkeypatch.setattr(lr_mod, "_expand_memo", {})
     full = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
@@ -380,6 +388,7 @@ def test_multi_frozen_examples():
 
 
 def test_multi_matches_iterated_expansion():
+    # the full product against the product kept inside each target
     pool = [(1,), (2,), (1, 1), (2, 1), (2, 2)]
     for m in (1, 2, 3):
         for factors in itertools.combinations_with_replacement(pool, m):
@@ -393,6 +402,110 @@ def test_multi_matches_iterated_expansion():
             for nu in enumerate_in_rectangle(4, 6, weight=w):
                 if nu not in table:
                     assert multi_lr_coefficient(nu, list(factors)) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _box_scan(target, factors):
+    head, rest = factors[0], factors[1:]
+    if not rest:
+        return int(target == head)
+    rows = sum(len(f) for f in rest)
+    cols = sum(f[0] for f in rest)
+    total = 0
+    for beta in partitions_by_weight(rows, cols).get(sum(target) - sum(head), ()):
+        c = lr_coefficient(target, beta, head)
+        if c:
+            total += c * _box_scan(beta, rest)
+    return total
+
+
+def _multi_by_box_scan(target, factors):
+    # the recursion multi_lr_coefficient used before it read bounded
+    # products: peel off the largest factor and sum over every shape of
+    # the remaining weight in the box the other factors span
+    target = partition(target)
+    factors = tuple(sorted((partition(f) for f in factors if f), key=sort_key, reverse=True))
+    if sum(target) != sum(sum(f) for f in factors):
+        return 0
+    if not factors:
+        return 1
+    return _box_scan(target, factors)
+
+
+_NONEMPTY_2x2 = [lam for lam in enumerate_in_rectangle(2, 2) if lam]
+
+
+def test_multi_matches_box_scan_oracle():
+    # every target a product of 2-4 shapes of the 2x2 box can reach
+    for m in (2, 3, 4):
+        for factors in itertools.combinations_with_replacement(_NONEMPTY_2x2, m):
+            rows = sum(len(f) for f in factors)
+            cols = sum(f[0] for f in factors)
+            for nu in partitions_by_weight(rows, cols)[sum(map(sum, factors))]:
+                assert multi_lr_coefficient(nu, factors) == _multi_by_box_scan(nu, factors), (nu, factors)
+
+
+def test_multi_dimension_identity():
+    # sum_nu c^nu_{f1 f2 f3} s_nu(1^n) == s_f1(1^n) s_f2(1^n) s_f3(1^n),
+    # with no oracle: a support shape left out makes the left side short
+    for factors in itertools.combinations_with_replacement(_NONEMPTY_2x2, 3):
+        rows = sum(len(f) for f in factors)
+        cols = sum(f[0] for f in factors)
+        support = partitions_by_weight(rows, cols)[sum(map(sum, factors))]
+        for n in (rows, rows + 2):
+            got = sum(multi_lr_coefficient(nu, factors) * _schur_at_ones(nu, n) for nu in support)
+            want = 1
+            for f in factors:
+                want *= _schur_at_ones(f, n)
+            assert got == want, (factors, n)
+
+
+def _levis_up_to_two_blocks(p, q):
+    blocks = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
+    out = [LeviShape(())] + [LeviShape((r,)) for r in blocks]
+    out += [
+        LeviShape((r1, r2))
+        for r1 in blocks
+        for r2 in blocks
+        if r1[0] + r2[0] <= p and r1[1] + r2[1] <= q
+    ]
+    return out
+
+
+def _levi_support_by_window_scan(ambient, levi):
+    # the window's shapes of the Levi's degree, in graded order, that
+    # the product of its full blocks reaches, with their coefficients
+    full = [rect(a, b) for a, b in levi.rects]
+    degree = sum(a * b for a, b in levi.rects)
+    out = []
+    for nu in partitions_by_weight(*ambient).get(degree, ()):
+        m = _multi_by_box_scan(nu, full)
+        if m:
+            out.append((nu, m))
+    return out
+
+
+def test_dual_class_unitary_matches_window_scan():
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for levi in _levis_up_to_two_blocks(p, q):
+                support = _levi_support_by_window_scan((p, q), levi)
+                want = cohom_class((p, q), {complement(nu, p, q): m for nu, m in support})
+                assert dual_class_unitary((p, q), levi) == want, (p, q, levi)
+
+
+def test_injectivity_unitary_matches_window_scan():
+    for p in range(1, 4):
+        for q in range(1, 5):
+            levis = _levis_up_to_two_blocks(p, q)
+            supports = [_levi_support_by_window_scan((p, q), levi) for levi in levis]
+            for pair in enumerate_pairs((p, q)):
+                for levi, support in zip(levis, supports):
+                    want = next(
+                        ((True, nu) for nu, _ in support if inscribes(complement(nu, p, q), pair.skew)),
+                        (False, None),
+                    )
+                    assert injectivity_unitary(pair, levi) == want, (pair, levi)
 
 
 def test_stacked_rectangles_have_positive_coefficient():
