@@ -16,11 +16,10 @@ from .errors import (
     ShapeNotSymmetric,
     ShapeOutOfBox,
 )
-from .lr import expand_product, iter_weight_split, multi_lr_coefficient, schur_expand
+from .lr import diagonal_splits, expand_product, iter_weight_split, multi_lr_coefficient, schur_expand
 from .partition import (
     complement,
     conjugate,
-    enumerate_in_rectangle,
     fits,
     from_plus_part,
     is_strict,
@@ -174,7 +173,7 @@ def restrict_levi(x, levi):
     rects = tuple(levi.rects)
     out = {}
     for lam, c in x.terms.items():
-        for alphas in iter_weight_split(rects, weight(lam)):
+        for alphas in iter_weight_split(rects, weight(lam), lam):
             m = multi_lr_coefficient(lam, alphas)
             if m:
                 out[alphas] = out.get(alphas, 0) + c * m
@@ -269,25 +268,6 @@ def restrict_symplectic_levi_support(nu, levi, p):
     if not fits(nu, p, p):
         raise ShapeOutOfBox("%r outside %dx%d" % (nu, p, p))
     check_levi_square(p, levi)
-    rects = tuple(levi.rects)
-    base = plus_part(nu)
-    targets = [base]
-    if conjugate(base) != base:
-        targets.append(conjugate(base))
-    out = []
-    for nu0 in enumerate_in_rectangle(levi.center, levi.center, symmetric_only=True):
-        ctr = plus_part(nu0)
-        heads = [ctr]
-        if conjugate(ctr) != ctr:
-            heads.append(conjugate(ctr))
-        rem = weight(base) - weight(ctr)
-        if rem < 0:
-            continue
-        for alphas in iter_weight_split(rects, rem):
-            if any(
-                multi_lr_coefficient(t, (h,) + alphas)
-                for t in targets
-                for h in heads
-            ):
-                out.append((nu0, alphas))
-    return out
+    splits = diagonal_splits(plus_part(nu), levi.center, tuple(levi.rects), plus_part)
+    found = {(() if w.center is None else w.center, w.gammas) for w in splits}
+    return sorted(found, key=lambda pair: (sort_key(pair[0]), tuple(map(sort_key, pair[1]))))

@@ -10,6 +10,13 @@ takes a box, and a multi-factor coefficient is read off the product
 kept inside its own target, as every shape on a chain ending at the
 target lies inside it.
 
+One recursion, _bounded, lists the partitions of a weight between row
+bounds, each row's values from the largest down, so in graded order
+with no sort.  It builds the shapes of a two-shape product and the
+block shapes of a weight split, which lie inside the split's target:
+Levi restrictions and the diagonal search never form a tuple that
+cannot reach it.
+
 The memo table of single coefficients is normalized under conjugation
 and under swapping the two lower shapes.  A miss can be answered from a
 plain-text cache file named by the SCHUBERT_CACHE_DIR environment
@@ -26,6 +33,7 @@ safe; writers append whole lines only.
 """
 
 import os
+from itertools import zip_longest
 from typing import NamedTuple, Optional
 
 from .errors import ShapeNotSymmetric
@@ -155,23 +163,17 @@ def lr_coefficient(outer, inner, content):
     return value
 
 
-def _mu_candidates(lam, nu, outer=None):
-    # shapes that can support a nonzero coefficient over lam and nu, in
-    # graded order; with outer given, only those inside it
-    total = sum(lam) + sum(nu)
-    nrows = len(lam) + len(nu)
-    cap = (lam[0] if lam else 0) + (nu[0] if nu else 0)
-    lows = [
-        max(lam[i] if i < len(lam) else 0, nu[i] if i < len(nu) else 0)
-        for i in range(nrows)
-    ]
-    highs = [cap] * nrows
-    if outer is not None:
-        highs = [min(cap, outer[i]) if i < len(outer) else 0 for i in range(nrows)]
+def _bounded(highs, total, lows=()):
+    # partitions of total with lows[i] <= part i <= highs[i], both padded
+    # with zeros; each row walks its values from largest to smallest, so
+    # the list comes out in graded order
+    n = max(len(highs), len(lows))
+    highs = list(highs) + [0] * (n - len(highs))
+    lows = list(lows) + [0] * (n - len(lows))
     # tail[i] and room[i]: the fewest and the most cells rows i.. can hold
-    tail = [0] * (nrows + 1)
-    room = [0] * (nrows + 1)
-    for i in range(nrows - 1, -1, -1):
+    tail = [0] * (n + 1)
+    room = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
         tail[i] = tail[i + 1] + lows[i]
         room[i] = room[i + 1] + highs[i]
     out = []
@@ -180,17 +182,26 @@ def _mu_candidates(lam, nu, outer=None):
         if rem == 0 and tail[i] == 0:
             out.append(tuple(acc))
             return
-        if i == nrows or prev == 0:
+        if i == n or prev == 0:
             return
         lo = max(lows[i], 1, rem - room[i + 1])
-        for v in range(lo, min(prev, highs[i], rem - tail[i + 1]) + 1):
+        for v in range(min(prev, highs[i], rem - tail[i + 1]), lo - 1, -1):
             acc.append(v)
             rec(i + 1, v, rem - v, acc)
             acc.pop()
 
-    rec(0, cap, total, [])
-    out.sort(key=sort_key)
+    rec(0, total, total, [])
     return out
+
+
+def _mu_candidates(lam, nu, outer=None):
+    # shapes that can support a nonzero coefficient over lam and nu, in
+    # graded order; with outer given, only those inside it
+    nrows = len(lam) + len(nu)
+    cap = (lam[0] if lam else 0) + (nu[0] if nu else 0)
+    highs = [cap] * nrows if outer is None else [min(cap, o) for o in outer[:nrows]]
+    lows = [max(a, b) for a, b in zip_longest(lam, nu, fillvalue=0)]
+    return _bounded(highs, sum(lam) + sum(nu), lows)
 
 
 def _expand(lam, nu, outer):
@@ -243,38 +254,38 @@ def expand_product(factors, box=None):
     return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
 
 
-_by_weight_memo = {}
+def iter_weight_split(boxes, total, outer):
+    """Tuples of partitions, one per box, with the given total weight,
+    every shape inside both its box and outer.
 
-
-def partitions_by_weight(rows, cols):
-    """Partitions inside rows x cols, grouped by weight."""
-    try:
-        return _by_weight_memo[(rows, cols)]
-    except KeyError:
-        pass
-    groups = {}
-    for lam in enumerate_in_rectangle(rows, cols):
-        groups.setdefault(sum(lam), []).append(lam)
-    groups = {w: tuple(v) for w, v in groups.items()}
-    _by_weight_memo[(rows, cols)] = groups
-    return groups
-
-
-def iter_weight_split(boxes, total):
-    """Tuples of partitions, one per box, with the given total weight."""
-    if total < 0:
+    Each block's shapes are built directly inside the meet of its box
+    and outer, and a block weight the later blocks cannot complete
+    inside outer is skipped.  Tuples come in graded order of the first
+    block's shape, then of the next block's, and so on.
+    """
+    highs = [tuple([min(cols, o) for o in outer[:rows]]) for rows, cols in boxes]
+    # room[i]: the most cells blocks i.. can hold inside outer
+    room = [0] * (len(boxes) + 1)
+    for i in range(len(boxes) - 1, -1, -1):
+        room[i] = room[i + 1] + sum(highs[i])
+    if not 0 <= total <= room[0]:
         return
-    if not boxes:
-        if total == 0:
+    table = {}  # (block bounds, weight) -> shapes, for this call only
+
+    def rec(i, rem):
+        if i == len(boxes):
             yield ()
-        return
-    head = partitions_by_weight(*boxes[0])
-    for w, group in sorted(head.items()):
-        if w > total:
-            break
-        for lam in group:
-            for rest in iter_weight_split(boxes[1:], total - w):
-                yield (lam,) + rest
+            return
+        for w in range(max(0, rem - room[i + 1]), min(rem, room[i] - room[i + 1]) + 1):
+            key = (highs[i], w)
+            shapes = table.get(key)
+            if shapes is None:
+                shapes = table[key] = _bounded(highs[i], w)
+            for lam in shapes:
+                for rest in rec(i + 1, rem - w):
+                    yield (lam,) + rest
+
+    yield from rec(0, total)
 
 
 def multi_lr_coefficient(target, factors):
@@ -378,31 +389,35 @@ def _oriented(strict):
     return out
 
 
-def _inscribes_diagonal(nu, s, reduce_map):
-    nu = partition(nu)
-    center_side, flanks = symmetric_chain_split(s)
-    boxes = [(b, a) for a, b in flanks]  # factor for an a x b flank lives in b x a
-    base = reduce_map(nu)
+def diagonal_splits(base, center_side, boxes, reduce_map):
+    """SymWitness records of the ways to reach the strict shape base
+    from a symmetric center inside center_side x center_side and one
+    shape per box: both orientations of base, then each center, both
+    orientations of its reduction, then the splits of the rest inside
+    the oriented target.  With center_side 0 there is no center factor,
+    and the center and its orientation are None."""
     if center_side:
         centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
     else:
         centers = [()]
     for t_label, tgt in _oriented(base):
         for nu0 in centers:
-            ctr = reduce_map(nu0)
-            for t0_label, ctr_oriented in _oriented(ctr):
-                rem = sum(tgt) - sum(ctr_oriented)
-                if rem < 0:
-                    continue
-                head = (ctr_oriented,) if center_side else ()
-                for gammas in iter_weight_split(boxes, rem):
+            for t0_label, ctr in _oriented(reduce_map(nu0)):
+                head = (ctr,) if center_side else ()
+                for gammas in iter_weight_split(boxes, sum(tgt) - sum(ctr), tgt):
                     if multi_lr_coefficient(tgt, head + gammas):
-                        return SymWitness(
+                        yield SymWitness(
                             (t_label, t0_label if center_side else None),
                             nu0 if center_side else None,
                             gammas,
                         )
-    return None
+
+
+def _inscribes_diagonal(nu, s, reduce_map):
+    center_side, flanks = symmetric_chain_split(s)
+    boxes = [(b, a) for a, b in flanks]  # factor for an a x b flank lives in b x a
+    splits = diagonal_splits(reduce_map(partition(nu)), center_side, boxes, reduce_map)
+    return next(splits, None)
 
 
 def inscribes_symmetric(nu, s):

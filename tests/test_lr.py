@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubcalc.lr as lr_mod
-from schubcalc.cohomology import LeviShape, cohom_class, dual_class_unitary
-from schubcalc.errors import ShapeNotSymmetric
+from schubcalc.cohomology import (
+    LeviShape,
+    cohom_class,
+    dual_class_unitary,
+    restrict_levi,
+    restrict_symplectic_levi_support,
+    schubert_class,
+)
+from schubcalc.errors import IncompatiblePair, ShapeNotSymmetric
 from schubcalc.lr import (
+    SymWitness,
     count_images,
     expand_product,
     inscribes,
     inscribes_antisymmetric,
     inscribes_symmetric,
     inscribes_witness,
+    iter_weight_split,
     lr_coefficient,
     multi_lr_coefficient,
-    partitions_by_weight,
     schur_expand,
 )
 from schubcalc.partition import (
@@ -25,17 +33,38 @@ from schubcalc.partition import (
     contains,
     enumerate_in_rectangle,
     fits,
+    minus_part,
     parse_partition,
     partition,
+    plus_part,
     rect,
     sort_key,
 )
 from schubcalc.shimura import enumerate_pairs, injectivity_unitary
-from schubcalc.skew import SkewShape, concat, rectangle_decomposition, reverse_numbering, size, skew
+from schubcalc.skew import (
+    SkewShape,
+    concat,
+    rectangle_decomposition,
+    reverse_numbering,
+    size,
+    skew,
+    symmetric_chain_split,
+)
 from schubcalc.tableau import ballot_fillings
 
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def partitions_by_weight(rows, cols):
+    """Partitions inside rows x cols, grouped by weight: the full-box
+    table the weight splits scanned before they were bounded by a
+    target, kept as an oracle."""
+    groups = {}
+    for lam in enumerate_in_rectangle(rows, cols):
+        groups.setdefault(sum(lam), []).append(lam)
+    return {w: tuple(v) for w, v in groups.items()}
 
 
 def test_coefficient_frozen_examples():
@@ -691,6 +720,174 @@ def test_antisymmetric_inscription_examples():
     assert inscribes_antisymmetric((), skew(rect(2, 2))) is not None
     with pytest.raises(ShapeNotSymmetric):
         inscribes_antisymmetric((1, 1), skew(rect(2, 2)))
+
+
+def _full_box_split(boxes, total):
+    # the weight split before it was bounded by a target: every tuple of
+    # full-box shapes of the total weight, graded block by block
+    if total < 0:
+        return
+    if not boxes:
+        if total == 0:
+            yield ()
+        return
+    for w, group in sorted(partitions_by_weight(*boxes[0]).items()):
+        if w > total:
+            break
+        for lam in group:
+            for rest in _full_box_split(boxes[1:], total - w):
+                yield (lam,) + rest
+
+
+def test_weight_split_is_the_full_box_scan_inside_outer():
+    box_lists = [(), ((2, 2),), ((2, 3), (1, 2)), ((1, 2), (2, 1), (2, 2))]
+    for boxes in box_lists:
+        for outer in enumerate_in_rectangle(3, 4):
+            for total in range(sum(outer) + 2):
+                got = list(iter_weight_split(boxes, total, outer))
+                for split in got:
+                    for lam, (rows, cols) in zip(split, boxes):
+                        assert fits(lam, rows, cols) and contains(lam, outer), (boxes, outer, split)
+                want = [
+                    split
+                    for split in _full_box_split(boxes, total)
+                    if all(contains(lam, outer) for lam in split)
+                ]
+                assert got == want, (boxes, outer, total)
+    # inside (2, 1) the blocks hold 3 + 2 cells, their full boxes 9
+    boxes, outer = ((2, 3), (1, 3)), (2, 1)
+    assert list(iter_weight_split(boxes, 5, outer)) == [((2, 1), (2,))]
+    assert list(_full_box_split(boxes, 6))
+    assert list(iter_weight_split(boxes, 6, outer)) == []
+    assert list(iter_weight_split(boxes, -1, outer)) == []
+
+
+def _block_tuples(rows, cols, most, least=1):
+    # ordered tuples of least..most blocks with positive sides that fit
+    # side by side in rows x cols
+    out = []
+
+    def rec(prefix, r, c):
+        if len(prefix) >= least:
+            out.append(tuple(prefix))
+        if len(prefix) == most:
+            return
+        for a in range(1, r + 1):
+            for b in range(1, c + 1):
+                rec(prefix + [(a, b)], r - a, c - b)
+
+    rec([], rows, cols)
+    return out
+
+
+def _restrict_by_full_box_scan(lam, rects):
+    out = {}
+    for alphas in _full_box_split(rects, sum(lam)):
+        m = multi_lr_coefficient(lam, alphas)
+        if m:
+            out[alphas] = m
+    return list(out.items())
+
+
+def test_restrict_levi_matches_full_box_scan():
+    # terms and their order, for every class of every window up to 4x4
+    # and every Levi of one to three blocks
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for rects in _block_tuples(p, q, 3):
+                for lam in enumerate_in_rectangle(p, q):
+                    got = restrict_levi(schubert_class((p, q), lam), LeviShape(rects))
+                    assert list(got.terms.items()) == _restrict_by_full_box_scan(lam, rects), (p, q, rects, lam)
+
+
+def test_restrict_levi_dimension_identity():
+    # blocks of a_1, a_2, ... rows (summing to p), each q wide: for lam
+    # inside p x q, s_lam(1^p) is the sum over the terms of
+    # c * s_alpha_1(1^a_1) * s_alpha_2(1^a_2) * ..., with no LR oracle
+    for p in range(1, 6):
+        for q in range(1, 5):
+            heights = [(a, p - a) for a in range(1, p)]
+            if p <= 4 and q <= 3:
+                heights += [(a, b, p - a - b) for a in range(1, p) for b in range(1, p - a)]
+            for rows in heights:
+                rects = tuple((a, q) for a in rows)
+                ambient = (p, q * len(rects))
+                for lam in enumerate_in_rectangle(p, q):
+                    terms = restrict_levi(schubert_class(ambient, lam), LeviShape(rects)).terms
+                    got = 0
+                    for alphas, c in terms.items():
+                        for alpha, a in zip(alphas, rows):
+                            c *= _schur_at_ones(alpha, a)
+                        got += c
+                    assert got == _schur_at_ones(lam, p), (p, q, rows, lam)
+
+
+def _both_ways(strict):
+    return [strict] if conjugate(strict) == strict else [strict, conjugate(strict)]
+
+
+def _support_by_full_box_scan(nu, levi):
+    targets = _both_ways(plus_part(nu))
+    out = []
+    for nu0 in enumerate_in_rectangle(levi.center, levi.center, symmetric_only=True):
+        heads = _both_ways(plus_part(nu0))
+        for alphas in _full_box_split(levi.rects, sum(targets[0]) - sum(heads[0])):
+            if any(multi_lr_coefficient(t, (h,) + alphas) for t in targets for h in heads):
+                out.append((nu0, alphas))
+    return out
+
+
+def test_symplectic_support_matches_full_box_scan():
+    # every diagonal-block Levi with up to three other blocks, p <= 4
+    for p in range(1, 5):
+        sym = enumerate_in_rectangle(p, p, symmetric_only=True)
+        for center in range(p + 1):
+            for rects in _block_tuples(p - center, p - center, 3, least=0):
+                levi = LeviShape(rects, center)
+                for nu in sym:
+                    want = _support_by_full_box_scan(nu, levi)
+                    assert restrict_symplectic_levi_support(nu, levi, p) == want, (p, levi, nu)
+
+
+def _diagonal_by_full_box_scan(nu, s, reduce_map):
+    # the first witness of the center/orientation search over full-box
+    # flank shapes
+    center_side, flanks = symmetric_chain_split(s)
+    boxes = [(b, a) for a, b in flanks]
+    if center_side:
+        centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
+    else:
+        centers = [()]
+    labels = ("id", "conj")
+    for t_label, tgt in zip(labels, _both_ways(reduce_map(nu))):
+        for nu0 in centers:
+            for t0_label, ctr in zip(labels, _both_ways(reduce_map(nu0))):
+                head = (ctr,) if center_side else ()
+                for gammas in _full_box_split(boxes, sum(tgt) - sum(ctr)):
+                    if multi_lr_coefficient(tgt, head + gammas):
+                        if not center_side:
+                            return SymWitness((t_label, None), None, gammas)
+                        return SymWitness((t_label, t0_label), nu0, gammas)
+    return None
+
+
+def test_diagonal_witnesses_match_full_box_scan():
+    # every symmetric shape into every symmetric chain of a p x p
+    # window, p <= 5, both reductions
+    for p in range(1, 6):
+        sym = enumerate_in_rectangle(p, p, symmetric_only=True)
+        for mu in sym:
+            for lam in sym:
+                if not contains(lam, mu):
+                    continue
+                s = skew(mu, lam)
+                try:
+                    symmetric_chain_split(s)
+                except IncompatiblePair:
+                    continue
+                for nu in sym:
+                    assert inscribes_symmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, plus_part), (nu, s)
+                    assert inscribes_antisymmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, minus_part), (nu, s)
 
 
 def _parse_line(line):
