@@ -17,8 +17,14 @@ block shapes of a weight split, which lie inside the split's target:
 Levi restrictions and the diagonal search never form a tuple that
 cannot reach it.
 
-The memo table of single coefficients is normalized under conjugation
-and under swapping the two lower shapes.  A miss can be answered from a
+A coefficient is the same in four orientations: swap the two lower
+shapes, or conjugate all three.  The memo table of single coefficients
+and the cache file are keyed by the least of the four keys, but a miss
+counts the fillings in the cheapest orientation: the lighter lower shape
+as the content, so the skew has the fewer cells, then all three
+conjugated if that content has more rows than columns, so the fillings
+use fewer letters.  lr_coefficient normalizes its arguments; internal
+callers pass canonical tuples to _lr.  A miss can be answered from a
 plain-text cache file named by the SCHUBERT_CACHE_DIR environment
 variable (a directory gets a lr-cache.txt inside it; anything else is
 taken as the file itself).  Each line is "OUTER;INNER;CONTENT VALUE"
@@ -128,11 +134,11 @@ def _persist(path, text, value):
         pass
 
 
-def _canonical_key(outer, inner, content):
-    # the least of the four keys reached by swapping the lower shapes
-    # and by conjugating all three; cache file lines are keyed by it
+def _orientations(outer, inner, content):
+    # the four keys reached by swapping the lower shapes and by
+    # conjugating all three; one coefficient belongs to all of them
     o, i, c = conjugate(outer), conjugate(inner), conjugate(content)
-    return min(
+    return (
         LRKey(outer, inner, content),
         LRKey(outer, content, inner),
         LRKey(o, i, c),
@@ -140,23 +146,37 @@ def _canonical_key(outer, inner, content):
     )
 
 
+def _canonical_key(outer, inner, content):
+    # the least of the four keys; cache file lines are keyed by it
+    return min(_orientations(outer, inner, content))
+
+
 def lr_coefficient(outer, inner, content):
     """Multiplicity of outer in the product of inner and content."""
-    outer, inner, content = partition(outer), partition(inner), partition(content)
-    if not contains(inner, outer):
+    return _lr(partition(outer), partition(inner), partition(content))
+
+
+def _lr(outer, inner, content):
+    # lr_coefficient on canonical tuples
+    if not contains(inner, outer) or not contains(content, outer):
         return 0
     if sum(outer) != sum(inner) + sum(content):
         return 0
-    if len(content) > len(outer) or (content and content[0] > outer[0]):
-        return 0
-    key = _canonical_key(outer, inner, content)
+    keys = _orientations(outer, inner, content)
+    key = min(keys)
     if key in _memo:
         return _memo[key]
     path, index = _sync_cache()
     text = _key_text(key) if path else None
     value = index.get(text)
     if value is None:
-        value = sum(1 for _ in ballot_fillings(SkewShape(outer, inner), content))
+        # count in the cheapest orientation (see the module docstring)
+        k = 1 if sum(content) > sum(inner) else 0
+        light = keys[k].content
+        if light and len(light) > light[0]:
+            k += 2
+        o, i, c = keys[k]
+        value = sum(1 for _ in ballot_fillings(SkewShape(o, i), c))
         if path:
             _persist(path, text, value)
     _memo[key] = value
@@ -212,7 +232,7 @@ def _expand(lam, nu, outer):
     if result is None:
         result = {}
         for mu in _mu_candidates(lam, nu, outer):
-            c = lr_coefficient(mu, lam, nu)
+            c = _lr(mu, lam, nu)
             if c:
                 result[mu] = c
         _expand_memo[key] = result
@@ -362,9 +382,9 @@ def count_images(nu, s):
 def inscribes_witness(nu, s):
     """A shape between s.inner and s.outer reached from s.inner by nu,
     or None."""
-    nu = partition(nu)
-    for mu in _mu_candidates(s.inner, nu, s.outer):
-        if lr_coefficient(mu, s.inner, nu):
+    nu, inner = partition(nu), partition(s.inner)
+    for mu in _mu_candidates(inner, nu, s.outer):
+        if _lr(mu, inner, nu):
             return mu
     return None
 

@@ -182,7 +182,10 @@ def sort_key(lam):
 def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
     """All partitions inside rows x cols in graded order.
 
-    Optional filters: exact weight, or symmetric shapes only.
+    Optional filters: exact weight, or symmetric shapes only.  The 2^m
+    symmetric shapes, m = min(rows, cols), are built directly: one with
+    first part a is a hook of a cells across and a cells down wrapped
+    around a symmetric shape inside (a-1) x (a-1).
     """
     if rows < 0 or cols < 0:
         raise ValueError("rectangle sides must be nonnegative: %dx%d" % (rows, cols))
@@ -195,11 +198,14 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
             for tail in gen(first, rowsleft - 1):
                 yield (first,) + tail
 
-    out = gen(cols, rows)
+    if symmetric_only:
+        out = [()]
+        for a in range(1, min(rows, cols) + 1):
+            out += [(a,) + tuple(p + 1 for p in mu) + (1,) * (a - 1 - len(mu)) for mu in out]
+    else:
+        out = gen(cols, rows)
     if weight is not None:
         out = (lam for lam in out if sum(lam) == weight)
-    if symmetric_only:
-        out = (lam for lam in out if is_symmetric(lam))
     return sorted(out, key=sort_key)
 
 

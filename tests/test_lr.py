@@ -203,6 +203,58 @@ def test_coefficient_zero_guards():
     assert lr_coefficient((2,), (1,), (2,)) == 0  # weight mismatch
     assert lr_coefficient((2,), (3,), (1,)) == 0  # inner not contained
     assert lr_coefficient((3,), (1,), (1, 1)) == 0  # content taller than outer
+    # content no taller and no wider than outer, yet not inside it: the
+    # swapped orientation (3,1)/(2,2) is no skew shape at all
+    assert lr_coefficient((3, 1), (), (2, 2)) == 0
+    assert lr_coefficient((2, 1, 1), (), (2, 2)) == 0
+
+
+def _count(outer, inner, content):
+    return sum(1 for _ in ballot_fillings(SkewShape(outer, inner), content))
+
+
+def test_orientations_count_alike_4x4():
+    # c(mu; lam, nu) = c(mu; nu, lam) = c(mu'; lam', nu'): every
+    # orientation that is a skew shape counts the same fillings, and
+    # the coefficient is 0 unless both lower shapes fit inside mu
+    checked = 0
+    for mu in SHAPES_4x4:
+        for lam in SHAPES_4x4:
+            for nu in SHAPES_4x4:
+                if sum(mu) != sum(lam) + sum(nu):
+                    continue
+                value = lr_coefficient(mu, lam, nu)
+                mu_c, lam_c, nu_c = conjugate(mu), conjugate(lam), conjugate(nu)
+                counts = set()
+                if contains(lam, mu):
+                    counts |= {_count(mu, lam, nu), _count(mu_c, lam_c, nu_c)}
+                if contains(nu, mu):
+                    counts |= {_count(mu, nu, lam), _count(mu_c, nu_c, lam_c)}
+                if not (contains(lam, mu) and contains(nu, mu)):
+                    assert value == 0, (mu, lam, nu)
+                    counts.add(0)
+                assert counts == {value}, (mu, lam, nu)
+                checked += 1
+    assert checked == 9666
+
+
+# the 34-40 cell coefficients of the lr-expand benchmark workload
+BIG_LR = (
+    ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (7, 7, 6, 5, 5, 4, 3, 2, 1), 1608),
+    ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (7, 7, 6, 4, 4, 2, 2, 2), 5790),
+    ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (8, 5, 5, 5, 4, 3, 2, 2), 4961),
+    ((10, 9, 8, 7, 6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), (7, 6, 6, 5, 5, 2, 1, 1, 1), 3888),
+)
+
+
+@pytest.mark.parametrize("outer, inner, content, value", BIG_LR)
+def test_big_coefficients_frozen(outer, inner, content, value, monkeypatch):
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+    for args in ((outer, inner, content), (outer, content, inner)):
+        monkeypatch.setattr(lr_mod, "_memo", {})
+        assert lr_coefficient(*args) == value
+    # the orientation the call names, counted without the orientation choice
+    assert _count(outer, inner, content) == value
 
 
 def test_rectangle_duality_small():

@@ -222,6 +222,20 @@ def test_symmetric_count_3x3():
     assert len(enumerate_in_rectangle(3, 3, symmetric_only=True)) == 8
 
 
+def test_symmetric_shapes_match_filter_oracle_7x7():
+    # the oracle is the symmetric enumeration before it built the shapes
+    # directly: every shape of the rectangle, filtered
+    for rows in range(8):
+        for cols in range(8):
+            oracle = [lam for lam in enumerate_in_rectangle(rows, cols) if is_symmetric(lam)]
+            got = enumerate_in_rectangle(rows, cols, symmetric_only=True)
+            assert got == oracle, (rows, cols)
+            assert len(got) == 2 ** min(rows, cols)
+            for w in range(rows * cols + 2):
+                got = enumerate_in_rectangle(rows, cols, weight=w, symmetric_only=True)
+                assert got == [lam for lam in oracle if sum(lam) == w], (rows, cols, w)
+
+
 @given(boxed_partitions(5, 5), boxed_partitions(5, 5))
 def test_containment_is_cellwise(lam, mu):
     padded = mu + (0,) * len(lam)
