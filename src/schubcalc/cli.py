@@ -1,9 +1,10 @@
 """Command line front end.
 
 Every run prints exactly one JSON document to stdout.  Domain failures
-exit 1 with {"error": code}; malformed invocations exit 2 and write the
-complaint to stderr.  --pretty sketches the shapes involved on stderr,
-leaving stdout machine-readable.
+exit 1 with {"error": code}, among them InputTooLarge for an input too
+deep for Python's recursion limit; malformed invocations exit 2 and
+write the complaint to stderr.  --pretty sketches the shapes involved on
+stderr, leaving stdout machine-readable.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import sys
 
 from . import cohomology, lr, shimura
-from .errors import AmbientNotSquare, DomainError, IncompatiblePair
+from .errors import AmbientNotSquare, DomainError, IncompatiblePair, InputTooLarge
 from .partition import (
     bar_closure,
     check_reduction,
@@ -83,6 +84,14 @@ def _tensor_doc(x):
             {"partitions": [format_partition(l) for l in keys], "coeff": c}
             for keys, c in x.terms.items()
         ],
+    }
+
+
+def _diagonal_witness(orientation, center, gammas):
+    return {
+        "orientation": list(orientation),
+        "center": None if center is None else format_partition(center),
+        "gammas": [format_partition(g) for g in gammas],
     }
 
 
@@ -169,12 +178,7 @@ def _cmd_lr_inscribes(args):
         w = fn(nu, s)
         if w is None:
             return {"inscribes": False, "witness": None}, shapes
-        witness = {
-            "orientation": list(w.orientation),
-            "center": None if w.center is None else format_partition(w.center),
-            "gammas": [format_partition(g) for g in w.gammas],
-        }
-        return {"inscribes": True, "witness": witness}, shapes
+        return {"inscribes": True, "witness": _diagonal_witness(*w)}, shapes
     mu_prime = lr.inscribes_witness(nu, s)
     if mu_prime is None:
         return {"inscribes": False, "witness": None}, shapes
@@ -248,16 +252,10 @@ def _cmd_sh_chern_action(args):
     w = shimura.chern_action_nonzero(nu, pair)
     if w is None:
         return {"nonzero": False, "witness": None}, [("window", pair.skew)]
-    witness = {}
-    for k, v in w.items():
-        if k == "gammas":
-            witness[k] = [format_partition(g) for g in v]
-        elif k == "orientation":
-            witness[k] = list(v)
-        elif v is None:
-            witness[k] = None
-        else:
-            witness[k] = format_partition(v)
+    if "mu_prime" in w:
+        witness = {"mu_prime": format_partition(w["mu_prime"])}
+    else:
+        witness = _diagonal_witness(**w)
     return {"nonzero": True, "witness": witness}, [("window", pair.skew)]
 
 
@@ -435,11 +433,19 @@ def build_parser():
     return top
 
 
+def _run(args):
+    try:
+        return args.fn(args)
+    except RecursionError as err:
+        # a shape of about a thousand rows outruns the per-row recursions
+        raise InputTooLarge("input too deep for the recursion limit") from err
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, shapes = args.fn(args)
+        doc, shapes = _run(args)
     except DomainError as err:
         print(json.dumps({"error": err.code}, separators=(",", ":")))
         return 1

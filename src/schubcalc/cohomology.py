@@ -155,16 +155,21 @@ def poincare_pair(x, y):
     return cup(x, y).coefficient(rect(*x.ambient))
 
 
+def _check_blocks(rects, rows, cols):
+    # the blocks have positive sides and fit side by side in rows x cols
+    for a, b in rects:
+        if a < 1 or b < 1:
+            raise LeviDoesNotFit("blocks need positive sides")
+    if sum(a for a, _ in rects) > rows:
+        raise LeviDoesNotFit("row sides exceed the ambient")
+    if sum(b for _, b in rects) > cols:
+        raise LeviDoesNotFit("column sides exceed the ambient")
+
+
 def check_levi_unitary(ambient, levi):
     if levi.center is not None:
         raise LeviDoesNotFit("a type-A Levi has no diagonal block")
-    for a, b in levi.rects:
-        if a < 1 or b < 1:
-            raise LeviDoesNotFit("blocks need positive sides")
-    if sum(a for a, _ in levi.rects) > ambient[0]:
-        raise LeviDoesNotFit("row sides exceed the ambient")
-    if sum(b for _, b in levi.rects) > ambient[1]:
-        raise LeviDoesNotFit("column sides exceed the ambient")
+    _check_blocks(levi.rects, *ambient)
 
 
 def restrict_levi(x, levi):
@@ -250,13 +255,7 @@ def check_levi_square(p, levi):
         raise LeviDoesNotFit("this Levi needs a diagonal block")
     if levi.center < 0:
         raise LeviDoesNotFit("diagonal block side must be nonnegative")
-    for a, b in levi.rects:
-        if a < 1 or b < 1:
-            raise LeviDoesNotFit("blocks need positive sides")
-    if levi.center + sum(a for a, _ in levi.rects) > p:
-        raise LeviDoesNotFit("row sides exceed the ambient")
-    if levi.center + sum(b for _, b in levi.rects) > p:
-        raise LeviDoesNotFit("column sides exceed the ambient")
+    _check_blocks(levi.rects, p - levi.center, p - levi.center)
 
 
 def restrict_symplectic_levi_support(nu, levi, p):

@@ -60,3 +60,7 @@ class BoundExceeded(DomainError):
 
 class InvariantViolated(DomainError):
     """A classification the paper proves exhaustive failed to hold."""
+
+
+class InputTooLarge(DomainError):
+    """An input too deep or too large for the computation to finish."""

@@ -8,7 +8,9 @@ Products of more than two shapes are iterated two at a time, with every
 partial product kept inside an optional outer shape: expand_product
 takes a box, and a multi-factor coefficient is read off the product
 kept inside its own target, as every shape on a chain ending at the
-target lies inside it.
+target lies inside it.  Multi-factor coefficients have no memo of their
+own: the memoized two-shape products (_expand_memo) and single
+coefficients (_memo) under that product hold every answer once.
 
 One recursion, _bounded, lists the partitions of a weight between row
 bounds, each row's values from the largest down, so in graded order
@@ -31,9 +33,10 @@ taken as the file itself).  Each line is "OUTER;INNER;CONTENT VALUE"
 with the key in canonical form, as _key_text writes it.  The file is
 read once per path into an index from key text to value, without parsing
 any shape: a line is matched by its exact canonical text, the first line
-with an integer value wins, and lines in any other form are ignored, so
-their coefficient is recomputed and appended in canonical form.  Appends
-use O_APPEND and stay atomic only for lines shorter than PIPE_BUF.
+whose value is a run of ASCII digits wins, and any other line, such as
+one with a signed value or a non-canonical key, is ignored, so its
+coefficient is recomputed and appended in canonical form.  Appends use
+O_APPEND and stay atomic only for lines shorter than PIPE_BUF.
 Reads are plain dict lookups, so sharing the table across threads is
 safe; writers append whole lines only.
 """
@@ -65,13 +68,7 @@ class LRKey(NamedTuple):
     content: tuple
 
 
-class MultiLRKey(NamedTuple):
-    target: tuple
-    factors: tuple
-
-
 _memo = {}  # canonical LRKey -> int
-_multi_memo = {}  # canonical MultiLRKey -> int
 _expand_memo = {}  # (sorted factor pair, outer shape or None) -> {mu: coeff}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
@@ -95,19 +92,15 @@ def _key_text(key):
 
 
 def _read_index(path):
-    # {key text: value}, without parsing any shape; the first line with
-    # an integer value wins, anything else is skipped
+    # {key text: value}, without parsing any shape; the first line whose
+    # value is a run of ASCII digits wins, anything else is skipped
     index = {}
     try:
         with open(path) as fh:
             for line in fh:
                 text, _, tail = line.strip().rpartition(" ")
-                if not text or text in index:
-                    continue
-                try:
+                if text and text not in index and tail.isascii() and tail.isdigit():
                     index[text] = int(tail)
-                except ValueError:
-                    continue
     except OSError:
         pass
     return index
@@ -312,23 +305,16 @@ def multi_lr_coefficient(target, factors):
     """Multiplicity of target in the product of all the factors."""
     target = partition(target)
     cleaned = [partition(f) for f in factors]
-    factors = tuple(sorted((f for f in cleaned if f), key=sort_key, reverse=True))
+    # largest first: the order picks which products are built and cached
+    factors = sorted((f for f in cleaned if f), key=sort_key, reverse=True)
     if sum(target) != sum(sum(f) for f in factors):
         return 0
-    if not factors:
-        return 1 if not target else 0
     if len(factors) == 1:
+        # read off _product, a lone factor would count and cache c^f_{(),f}
         return 1 if target == factors[0] else 0
-    key = min(
-        MultiLRKey(target, factors),
-        MultiLRKey(conjugate(target), tuple(sorted((conjugate(f) for f in factors), key=sort_key, reverse=True))),
-    )
-    if key in _multi_memo:
-        return _multi_memo[key]
     # every partial product on a chain ending at target lies inside it,
     # so the product kept inside target holds the full coefficient
-    total = _multi_memo[key] = _product(factors, target).get(target, 0)
-    return total
+    return _product(factors, target).get(target, 0)
 
 
 def _nw(a, b):

@@ -54,6 +54,17 @@ def test_domain_error_exit_code(capsys):
     assert err == ""
 
 
+def test_deep_shapes_report_input_too_large(capsys):
+    # a shape of about a thousand rows outruns the per-row recursions
+    ones = ",".join(["1"] * 1100)
+    for argv in [
+        ("cohom", "product", "--ambient", "1200x1", "--lhs", ones, "--rhs", "1"),
+        ("lr", "multi", "--target", ones + ",1", "--factors", ones + "*1"),
+    ]:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
+
+
 def test_malformed_input_exit_code(capsys):
     rc, out, err = run(capsys, "partition", "conj", "--partition", "abc")
     assert rc == 2

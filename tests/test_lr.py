@@ -526,6 +526,20 @@ def test_multi_matches_box_scan_oracle():
                 assert multi_lr_coefficient(nu, factors) == _multi_by_box_scan(nu, factors), (nu, factors)
 
 
+def test_multi_conjugation_symmetry():
+    # conjugating the target and every factor keeps the coefficient; the
+    # two orientations build their own bounded products
+    for m in (2, 3):
+        for factors in itertools.product(_NONEMPTY_2x2, repeat=m):
+            rows = sum(len(f) for f in factors)
+            cols = sum(f[0] for f in factors)
+            flipped = [conjugate(f) for f in factors]
+            for nu in partitions_by_weight(rows, cols)[sum(map(sum, factors))]:
+                assert multi_lr_coefficient(nu, factors) == multi_lr_coefficient(
+                    conjugate(nu), flipped
+                ), (nu, factors)
+
+
 def test_multi_dimension_identity():
     # sum_nu c^nu_{f1 f2 f3} s_nu(1^n) == s_f1(1^n) s_f2(1^n) s_f3(1^n),
     # with no oracle: a support shape left out makes the left side short
@@ -1073,6 +1087,29 @@ def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache):
             line,
             "%s %d" % (lr_mod._key_text(key), true_value),
         ]
+
+
+def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache):
+    # int() takes a sign and underscores, which the program never writes:
+    # such a value is not trusted, and the count is appended instead
+    cases = [
+        (((2, 1), (1,), (1, 1)), "-7"),
+        (((3, 1), (2,), (1, 1)), "+3"),
+        (((3, 2, 1), (2, 1), (2, 1)), "1_0"),
+    ]
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+    true_values = [lr_coefficient(*args) for args, _ in cases]
+    texts = [lr_mod._key_text(lr_mod._canonical_key(*args)) for args, _ in cases]
+    assert texts[0] == "2,1;1;1,1"
+    lines = ["%s %s" % (text, bad) for text, (_, bad) in zip(texts, cases)]
+    target = tmp_path / "lr-cache.txt"
+    target.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(lr_mod, "_memo", {})
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
+    assert [lr_coefficient(*args) for args, _ in cases] == true_values == [1, 1, 2]
+    assert target.read_text().splitlines() == lines + [
+        "%s %d" % (text, value) for text, value in zip(texts, true_values)
+    ]
 
 
 def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache):
