@@ -1,48 +1,54 @@
 """Littlewood-Richardson numbers and inscription predicates.
 
-Coefficients count the fillings yielded by tableau.ballot_fillings, the
-one ballot-filling engine; count_images and the tableau product and
-rectification are kept only as independent cross-checks.
+Every answer comes from tableau.ballot_fillings, the one ballot-filling
+engine; count_images and the tableau product and rectification are kept
+only as independent cross-checks.
+
+A two-shape product is one ballot search over the disconnected skew
+nu*lam, as s_lam s_nu = s_{nu*lam} (Macdonald, Symmetric Functions and
+Hall Polynomials, I.5): the heavier shape at the top right, its filling
+forced (row i holds only i's), and the lighter one at the bottom left.
+With the content left free, each filling of content mu adds 1 to
+c^mu_{lam,nu}; keeping the product inside an outer shape caps letter v
+at outer_v copies and the letters at len(outer).
 
 Products of more than two shapes are iterated two at a time, with every
 partial product kept inside an optional outer shape: expand_product
 takes a box, and a multi-factor coefficient is read off the product
 kept inside its own target, as every shape on a chain ending at the
 target lies inside it.  Multi-factor coefficients have no memo of their
-own: the memoized two-shape products (_expand_memo) and single
-coefficients (_memo) under that product hold every answer once.
+own.
 
-One recursion, _bounded, lists the partitions of a weight between row
+One recursion, _bounded, lists the partitions of a weight under row
 bounds, each row's values from the largest down, so in graded order
-with no sort.  It builds the shapes of a two-shape product and the
-block shapes of a weight split, which lie inside the split's target:
-Levi restrictions and the diagonal search never form a tuple that
-cannot reach it.
+with no sort.  It builds the block shapes of a weight split, which lie
+inside the split's target: Levi restrictions and the diagonal search
+never form a tuple that cannot reach it.
 
-A coefficient is the same in four orientations: swap the two lower
-shapes, or conjugate all three.  The memo table of single coefficients
-and the cache file are keyed by the least of the four keys, but a miss
-counts the fillings in the cheapest orientation: the lighter lower shape
-as the content, so the skew has the fewer cells, then all three
-conjugated if that content has more rows than columns, so the fillings
-use fewer letters.  lr_coefficient normalizes its arguments; internal
-callers pass canonical tuples to _lr.  A miss can be answered from a
-plain-text cache file named by the SCHUBERT_CACHE_DIR environment
-variable (a directory gets a lr-cache.txt inside it; anything else is
-taken as the file itself).  Each line is "OUTER;INNER;CONTENT VALUE"
-with the key in canonical form, as _key_text writes it.  The file is
-read once per path into an index from key text to value, without parsing
-any shape: a line is matched by its exact canonical text, the first line
-whose value is a run of ASCII digits wins, and any other line, such as
-one with a signed value or a non-canonical key, is ignored, so its
-coefficient is recomputed and appended in canonical form.  Appends use
-O_APPEND and stay atomic only for lines shorter than PIPE_BUF.
-Reads are plain dict lookups, so sharing the table across threads is
-safe; writers append whole lines only.
+A single coefficient, lr_coefficient, is the same in four orientations:
+swap the two lower shapes, or conjugate all three.  Its memo table
+(_memo) and the cache file are keyed by the least of the four keys, but
+a miss counts the fillings in the cheapest orientation: the lighter
+lower shape as the content, so the skew has the fewer cells, then all
+three conjugated if that content has more rows than columns, so the
+fillings use fewer letters.  A miss can be answered from a plain-text
+cache file named by the SCHUBERT_CACHE_DIR environment variable (a
+directory gets a lr-cache.txt inside it; anything else is taken as the
+file itself); products never read or write it.  Each line is
+"OUTER;INNER;CONTENT VALUE" with the key in canonical form, as _key_text
+writes it.  The file is read once per path into an index from key text
+to value, without parsing any shape: a line is matched by its exact
+canonical text, the first line whose value is a run of ASCII digits
+wins, and any other line, such as one with a signed value or a
+non-canonical key, is ignored, so its coefficient is recomputed and
+appended in canonical form.  Appends use O_APPEND and stay atomic only
+for lines shorter than PIPE_BUF.  Reads are plain dict lookups, so
+sharing the table across threads is safe; writers append whole lines
+only.
 """
 
 import os
-from itertools import zip_longest
+from collections import Counter
 from typing import NamedTuple, Optional
 
 from .errors import ShapeNotSymmetric
@@ -146,11 +152,7 @@ def _canonical_key(outer, inner, content):
 
 def lr_coefficient(outer, inner, content):
     """Multiplicity of outer in the product of inner and content."""
-    return _lr(partition(outer), partition(inner), partition(content))
-
-
-def _lr(outer, inner, content):
-    # lr_coefficient on canonical tuples
+    outer, inner, content = partition(outer), partition(inner), partition(content)
     if not contains(inner, outer) or not contains(content, outer):
         return 0
     if sum(outer) != sum(inner) + sum(content):
@@ -176,29 +178,24 @@ def _lr(outer, inner, content):
     return value
 
 
-def _bounded(highs, total, lows=()):
-    # partitions of total with lows[i] <= part i <= highs[i], both padded
-    # with zeros; each row walks its values from largest to smallest, so
-    # the list comes out in graded order
-    n = max(len(highs), len(lows))
-    highs = list(highs) + [0] * (n - len(highs))
-    lows = list(lows) + [0] * (n - len(lows))
-    # tail[i] and room[i]: the fewest and the most cells rows i.. can hold
-    tail = [0] * (n + 1)
+def _bounded(highs, total):
+    # partitions of total with part i <= highs[i]; each row walks its
+    # values from largest to smallest, so the list comes out in graded
+    # order
+    n = len(highs)
+    # room[i]: the most cells rows i.. can hold
     room = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        tail[i] = tail[i + 1] + lows[i]
         room[i] = room[i + 1] + highs[i]
     out = []
 
     def rec(i, prev, rem, acc):
-        if rem == 0 and tail[i] == 0:
+        if rem == 0:
             out.append(tuple(acc))
             return
         if i == n or prev == 0:
             return
-        lo = max(lows[i], 1, rem - room[i + 1])
-        for v in range(min(prev, highs[i], rem - tail[i + 1]), lo - 1, -1):
+        for v in range(min(prev, highs[i], rem), max(1, rem - room[i + 1]) - 1, -1):
             acc.append(v)
             rec(i + 1, v, rem - v, acc)
             acc.pop()
@@ -207,28 +204,24 @@ def _bounded(highs, total, lows=()):
     return out
 
 
-def _mu_candidates(lam, nu, outer=None):
-    # shapes that can support a nonzero coefficient over lam and nu, in
-    # graded order; with outer given, only those inside it
-    nrows = len(lam) + len(nu)
-    cap = (lam[0] if lam else 0) + (nu[0] if nu else 0)
-    highs = [cap] * nrows if outer is None else [min(cap, o) for o in outer[:nrows]]
-    lows = [max(a, b) for a, b in zip_longest(lam, nu, fillvalue=0)]
-    return _bounded(highs, sum(lam) + sum(nu), lows)
-
-
 def _expand(lam, nu, outer):
     # {mu: coefficient} over the shapes inside outer (every shape when
     # outer is None), in graded order; the memo's own dict, not a copy
     key = (tuple(sorted((lam, nu))), outer)
     result = _expand_memo.get(key)
-    if result is None:
-        result = {}
-        for mu in _mu_candidates(lam, nu, outer):
-            c = _lr(mu, lam, nu)
-            if c:
-                result[mu] = c
-        _expand_memo[key] = result
+    if result is not None:
+        return result
+    bot, top = sorted(key[0], key=sum)  # the heavier shape's filling is forced
+    n = sum(top) + sum(bot)
+    tally = {}
+    if outer is None or (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
+        # one search over the skew top*bot (see the module docstring)
+        b = bot[0] if bot else 0
+        s = SkewShape(tuple(t + b for t in top) + bot, (b,) * len(top))
+        caps = (n,) * (len(top) + len(bot)) if outer is None else outer
+        tally = Counter(tuple(counts) for _, counts in ballot_fillings(s, caps))
+    terms = ((partition(counts[1:]), c) for counts, c in tally.items())
+    result = _expand_memo[key] = dict(sorted(terms, key=lambda kv: sort_key(kv[0])))
     return result
 
 
@@ -247,9 +240,9 @@ def _product(factors, outer):
 def schur_expand(lam, nu, box=None):
     """Expand the product of two straight shapes: {mu: coefficient}.
 
-    With box = (rows, cols), only the shapes inside that window are
-    built and counted, so the result is the full product restricted to
-    the window; a product of degree above rows * cols is empty at once.
+    With box = (rows, cols), the search keeps each letter's count inside
+    that window, so the result is the full product restricted to the
+    window; a product of degree above rows * cols is empty at once.
     """
     outer = None if box is None else rect(*box)
     return dict(_expand(partition(lam), partition(nu), outer))
@@ -305,13 +298,10 @@ def multi_lr_coefficient(target, factors):
     """Multiplicity of target in the product of all the factors."""
     target = partition(target)
     cleaned = [partition(f) for f in factors]
-    # largest first: the order picks which products are built and cached
+    # largest first: the order picks which products are built and memoized
     factors = sorted((f for f in cleaned if f), key=sort_key, reverse=True)
     if sum(target) != sum(sum(f) for f in factors):
         return 0
-    if len(factors) == 1:
-        # read off _product, a lone factor would count and cache c^f_{(),f}
-        return 1 if target == factors[0] else 0
     # every partial product on a chain ending at target lies inside it,
     # so the product kept inside target holds the full coefficient
     return _product(factors, target).get(target, 0)
@@ -366,13 +356,11 @@ def count_images(nu, s):
 
 
 def inscribes_witness(nu, s):
-    """A shape between s.inner and s.outer reached from s.inner by nu,
-    or None."""
-    nu, inner = partition(nu), partition(s.inner)
-    for mu in _mu_candidates(inner, nu, s.outer):
-        if _lr(mu, inner, nu):
-            return mu
-    return None
+    """The least shape, in graded order, between s.inner and s.outer
+    reached from s.inner by nu, or None: the first term of the memoized
+    product of s.inner and nu kept inside s.outer."""
+    terms = _expand(partition(s.inner), partition(nu), partition(s.outer))
+    return next(iter(terms), None)
 
 
 def inscribes(nu, s):

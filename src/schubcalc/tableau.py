@@ -7,8 +7,11 @@ so "..1/.1/2" is a filling of (3,2,1)/(2,1).
 ballot_fillings is the one ballot-filling engine: it fills the cells in
 reverse-numbering order by backtracking over flat lists (each cell's
 entry and the index of the cell above and to its right), and yields
-each filling as one reused list.  lr.lr_coefficient counts what it
-yields and enumerate_lr_fillings turns it into tableaux.
+each filling with its letter counts, as two reused lists.  The content
+is given as per-letter caps, exact when they total the size of the
+skew.  lr.lr_coefficient counts the fillings of one content, lr's
+products tally the fillings of a skew by their counts, and
+enumerate_lr_fillings turns them into tableaux.
 
 The neighbour indices come from the row bounds alone.  Row r holds
 columns inner_r+1 .. outer_r, numbered right to left from start_r, so
@@ -172,17 +175,19 @@ def rectify(t, corner_picker=max):
     return tableau((shape, ()), rows)
 
 
-def ballot_fillings(s, cont):
-    """Yield each ballot filling of s with the given content.
+def ballot_fillings(s, caps):
+    """Yield (vals, counts) for each ballot filling of s with at most
+    caps[v-1] copies of each letter v.
 
-    A filling is a list of entries in reverse_numbering(s) order.  The
-    same list is reused and overwritten from one filling to the next, so
-    copy it to keep it.  Letters are tried smallest first, so fillings
-    appear in lexicographic order of their reverse-numbering words.
-    A content whose weight differs from the size of s raises ValueError
-    on the first step.
+    vals holds the entries in reverse_numbering(s) order and counts[v]
+    the copies of letter v (counts[0] is a sentinel).  Both lists are
+    reused and overwritten from one filling to the next, so copy them
+    to keep them.  Caps that total the size of s are the exact content.
+    Letters are tried smallest first, so fillings appear in lexicographic
+    order of their reverse-numbering words.  Caps totalling less than
+    the size of s raise ValueError on the first step.
     """
-    cont = tuple(int(c) for c in cont)
+    caps = tuple(int(c) for c in caps)
     # neighbours placed before each cell, -1 where they lie outside the
     # skew, from the row bounds (see the module docstring)
     above, right = [], []
@@ -193,14 +198,14 @@ def ballot_fillings(s, cont):
             right.append(len(right) - 1 if j < o else -1)
         prev_start, prev_o, prev_i = start, o, i
         start += o - i
-    if sum(cont) != start:
-        raise ValueError("content weight must match the shape size")
-    n, nletters = start, len(cont)
-    cap = (n + 1,) + cont  # cap[v]: copies of v allowed
+    if sum(caps) < start:
+        raise ValueError("letter caps must total at least the shape size")
+    n, nletters = start, len(caps)
+    cap = (n + 1,) + caps  # cap[v]: copies of v allowed
     counts = [n + 1] + [0] * nletters  # counts[0] never stops the letter 1
     vals = [0] * n
     if not n:
-        yield vals
+        yield vals, counts
         return
     # backtracking without recursion: k is the cell being placed and v
     # the next letter to try there
@@ -218,7 +223,7 @@ def ballot_fillings(s, cont):
                 a = above[k]
                 v = vals[a] + 1 if a >= 0 else 1
                 continue
-            yield vals
+            yield vals, counts
         if not k:
             return
         k -= 1
@@ -230,8 +235,10 @@ def ballot_fillings(s, cont):
 def enumerate_lr_fillings(s, cont):
     """All ballot fillings of s with the given content, as tableaux."""
     lengths = [o - p for o, p in zip(s.outer, _padded_inner(s))]
+    if sum(cont) != sum(lengths):
+        raise ValueError("content weight must match the shape size")
     out = []
-    for vals in ballot_fillings(s, cont):
+    for vals, _ in ballot_fillings(s, cont):
         rows, end = [], 0
         for length in lengths:
             rows.append(vals[end : end + length][::-1])

@@ -55,14 +55,17 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_deep_shapes_report_input_too_large(capsys):
-    # a shape of about a thousand rows outruns the per-row recursions
+    # a shape of about a thousand rows outruns the per-row recursion of
+    # the weight splits
     ones = ",".join(["1"] * 1100)
-    for argv in [
-        ("cohom", "product", "--ambient", "1200x1", "--lhs", ones, "--rhs", "1"),
-        ("lr", "multi", "--target", ones + ",1", "--factors", ones + "*1"),
-    ]:
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
+    rc, out, err = run(capsys, "cohom", "restrict", "--ambient", "1100x1", "--class", ones, "--levi", "1100x1")
+    assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
+    # a product is one search without recursion, so it is answered
+    rc, out, err = run(capsys, "cohom", "product", "--ambient", "1200x1", "--lhs", ones, "--rhs", "1")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"ambient": "1200x1", "terms": [{"partition": ones + ",1", "coeff": 1}]}
+    rc, out, err = run(capsys, "lr", "multi", "--target", ones + ",1", "--factors", ones + "*1")
+    assert (rc, out, err) == (0, '{"coefficient":1}\n', "")
 
 
 def test_malformed_input_exit_code(capsys):
@@ -325,24 +328,33 @@ def test_shimura_ostar(capsys):
     ]
 
 
-def _cohom_product_run(cache_dir, lhs, rhs):
+def _process_run(cache_dir, *args):
     # one real schubcalc process with its own coefficient cache
     src = str(Path(schubcalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(cache_dir))
-    argv = [sys.executable, "-m", "schubcalc.cli", "cohom", "product"]
-    argv += ["--ambient", "4x4", "--lhs", lhs, "--rhs", rhs]
+    argv = [sys.executable, "-m", "schubcalc.cli", *args]
     done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
+def _cohom_product_run(cache_dir, lhs, rhs):
+    return _process_run(cache_dir, "cohom", "product", "--ambient", "4x4", "--lhs", lhs, "--rhs", rhs)
+
+
 def test_second_run_reads_every_coefficient_from_the_cache(tmp_path):
+    # only single coefficients are persisted; products are memoized in
+    # the process alone
     runs, files = [], []
     for _ in range(2):
-        runs.append(_cohom_product_run(tmp_path, "2,1", "2,1"))
+        runs.append(_process_run(tmp_path, "lr", "coeff", "--outer", "4,3,2,1", "--inner", "2,1", "--nu", "3,2,1,1"))
         files.append((tmp_path / "lr-cache.txt").read_bytes())
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == b'{"coefficient":2}\n'
     assert files[0] and files[0] == files[1]
+    products = tmp_path / "products"
+    products.mkdir()
+    assert _cohom_product_run(products, "2,1", "2,1")
+    assert not (products / "lr-cache.txt").exists()
 
 
 def test_product_above_the_window_degree_computes_nothing(tmp_path):

@@ -366,6 +366,25 @@ def _expand_in_box(lam, mu, box):
     return sorted(out.items(), key=lambda kv: sort_key(kv[0]))
 
 
+def _full_box(lam, mu):
+    # the box every shape of the product of lam and mu fits in
+    return len(lam) + len(mu), (lam[0] if lam else 0) + (mu[0] if mu else 0)
+
+
+def test_unbounded_expansion_matches_full_box_oracle_3x3():
+    for lam in SHAPES_3x3:
+        for mu in SHAPES_3x3:
+            got = schur_expand(lam, mu)
+            assert list(got.items()) == _expand_in_box(lam, mu, _full_box(lam, mu)), (lam, mu)
+
+
+@given(st.sampled_from(SHAPES_4x4), st.sampled_from(SHAPES_4x4))
+@settings(max_examples=100, deadline=None)
+def test_expansion_commutes_with_conjugation(lam, mu):
+    flipped = schur_expand(conjugate(lam), conjugate(mu))
+    assert flipped == {conjugate(nu): c for nu, c in schur_expand(lam, mu).items()}
+
+
 def test_bounded_expansion_matches_window_oracle():
     for rows in range(5):
         for cols in range(5):
@@ -1030,7 +1049,7 @@ def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     for lam in SHAPES_3x3:
         for mu in SHAPES_3x3:
-            schur_expand(lam, mu)
+            _expand_in_box(lam, mu, _full_box(lam, mu))
     written = target.read_text()
     text = lr_mod._key_text
     bad_first = lr_mod._canonical_key((3, 2, 1), (2, 1), (2, 1))

@@ -151,16 +151,19 @@ def test_lr_fillings_frozen_examples():
 def test_ballot_fillings_reuse_one_list_in_reverse_numbering_order():
     s = skew((3, 2, 1), (2, 1))
     seen = []
-    for vals in ballot_fillings(s, (2, 1)):
-        seen.append((vals, list(vals)))
-    assert len({id(vals) for vals, _ in seen}) == 1
-    assert [copy for _, copy in seen] == [reverse_word(t) for t in enumerate_lr_fillings(s, (2, 1))]
-    assert [list(v) for v in ballot_fillings(skew((), ()), ())] == [[]]
+    for vals, counts in ballot_fillings(s, (2, 1)):
+        seen.append((vals, list(vals), counts, list(counts)))
+    assert len({id(vals) for vals, _, _, _ in seen}) == 1
+    assert len({id(counts) for _, _, counts, _ in seen}) == 1
+    assert [copy for _, copy, _, _ in seen] == [reverse_word(t) for t in enumerate_lr_fillings(s, (2, 1))]
+    assert [copy[1:] for _, _, _, copy in seen] == [[2, 1]] * len(seen)
+    assert [(list(v), c[1:]) for v, c in ballot_fillings(skew((), ()), ())] == [([], [])]
 
 
 def test_lr_fillings_weight_mismatch_rejected():
-    with pytest.raises(ValueError):
-        enumerate_lr_fillings(skew((2, 2), (1,)), (1, 1))
+    for cont in ((1, 1), (2, 2)):
+        with pytest.raises(ValueError):
+            enumerate_lr_fillings(skew((2, 2), (1,)), cont)
     # the generator raises on its first step, not when it is called
     fillings = ballot_fillings(skew((2, 2), (1,)), (1, 1))
     with pytest.raises(ValueError):
