@@ -16,7 +16,7 @@ from .errors import (
     ShapeNotSymmetric,
     ShapeOutOfBox,
 )
-from .lr import diagonal_splits, expand_product, iter_weight_split, multi_lr_coefficient, schur_expand
+from .lr import _coproduct, diagonal_splits, expand_product, schur_expand
 from .partition import (
     complement,
     conjugate,
@@ -29,7 +29,6 @@ from .partition import (
     rect,
     sort_key,
     staircase,
-    weight,
 )
 
 
@@ -175,13 +174,11 @@ def check_levi_unitary(ambient, levi):
 def restrict_levi(x, levi):
     """Restriction to a product of block factors, one per Levi rectangle."""
     check_levi_unitary(x.ambient, levi)
-    rects = tuple(levi.rects)
+    rects = tuple(map(tuple, levi.rects))
     out = {}
     for lam, c in x.terms.items():
-        for alphas in iter_weight_split(rects, weight(lam), lam):
-            m = multi_lr_coefficient(lam, alphas)
-            if m:
-                out[alphas] = out.get(alphas, 0) + c * m
+        for alphas, m in _coproduct(lam, rects).items():
+            out[alphas] = out.get(alphas, 0) + c * m
     return tensor_class(rects, out)
 
 

@@ -19,11 +19,17 @@ kept inside its own target, as every shape on a chain ending at the
 target lies inside it.  Multi-factor coefficients have no memo of their
 own.
 
-One recursion, _bounded, lists the partitions of a weight under row
-bounds, each row's values from the largest down, so in graded order
-with no sort.  It builds the block shapes of a weight split, which lie
-inside the split's target: Levi restrictions and the diagonal search
-never form a tuple that cannot reach it.
+A target's splits into block shapes are read top-down, from
+s_lam(x, y) = sum_alpha s_alpha(x) s_{lam/alpha}(y) and
+s_{lam/alpha} = sum_mu c^lam_{alpha,mu} s_mu (Macdonald, I.5).
+_coproduct(lam, boxes) takes each alpha_1 inside both lam and the first
+box, expands lam/alpha_1 in one ballot search with its letters capped
+by the rectangle the other boxes span, and splits each term mu over
+those boxes the same way, so every shape it visits lies under lam.
+Levi restrictions read their terms off it, and the diagonal search
+expands target/center once and splits each term; multi-factor
+coefficients stay on the bottom-up products, so the tests' oracles,
+which count through multi_lr_coefficient, do not share the walk.
 
 A single coefficient, lr_coefficient, is the same in four orientations:
 swap the two lower shapes, or conjugate all three.  Its memo table
@@ -75,7 +81,9 @@ class LRKey(NamedTuple):
 
 
 _memo = {}  # canonical LRKey -> int
-_expand_memo = {}  # (sorted factor pair, outer shape or None) -> {mu: coeff}
+# products: ((lam, nu) sorted, outer shape or None) -> {mu: coeff}
+# splits: (lam, boxes) -> {(alpha_1, ..., alpha_k): coeff}
+_expand_memo = {}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
 
@@ -178,30 +186,22 @@ def lr_coefficient(outer, inner, content):
     return value
 
 
-def _bounded(highs, total):
-    # partitions of total with part i <= highs[i]; each row walks its
-    # values from largest to smallest, so the list comes out in graded
-    # order
-    n = len(highs)
-    # room[i]: the most cells rows i.. can hold
-    room = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        room[i] = room[i + 1] + highs[i]
-    out = []
-
-    def rec(i, prev, rem, acc):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if i == n or prev == 0:
-            return
-        for v in range(min(prev, highs[i], rem), max(1, rem - room[i + 1]) - 1, -1):
-            acc.append(v)
-            rec(i + 1, v, rem - v, acc)
-            acc.pop()
-
-    rec(0, total, total, [])
+def _shapes_under(highs):
+    # every partition with part i at most highs[i], built row by row:
+    # last holds the shapes with exactly as many rows as bounds read
+    out, last = [()], [()]
+    for h in highs:
+        last = [lam + (v,) for lam in last for v in range(1, min(h, lam[-1] if lam else h) + 1)]
+        out += last
     return out
+
+
+def _skew_terms(s, caps):
+    # {mu: c^outer_{inner,mu}} over the mu whose part v is at most
+    # caps[v-1]: one ballot search over s, each filling adding 1 to the
+    # term of its content (s_{outer/inner} = sum_mu c^outer_{inner,mu} s_mu)
+    tally = Counter(tuple(counts) for _, counts in ballot_fillings(s, caps))
+    return {partition(counts[1:]): c for counts, c in tally.items()}
 
 
 def _expand(lam, nu, outer):
@@ -213,15 +213,46 @@ def _expand(lam, nu, outer):
         return result
     bot, top = sorted(key[0], key=sum)  # the heavier shape's filling is forced
     n = sum(top) + sum(bot)
-    tally = {}
+    terms = {}
     if outer is None or (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
         # one search over the skew top*bot (see the module docstring)
         b = bot[0] if bot else 0
         s = SkewShape(tuple(t + b for t in top) + bot, (b,) * len(top))
         caps = (n,) * (len(top) + len(bot)) if outer is None else outer
-        tally = Counter(tuple(counts) for _, counts in ballot_fillings(s, caps))
-    terms = ((partition(counts[1:]), c) for counts, c in tally.items())
-    result = _expand_memo[key] = dict(sorted(terms, key=lambda kv: sort_key(kv[0])))
+        terms = _skew_terms(s, caps)
+    result = _expand_memo[key] = dict(sorted(terms.items(), key=lambda kv: sort_key(kv[0])))
+    return result
+
+
+def _split_rest(lam, alpha, boxes):
+    # {gammas: c^lam_{alpha,gammas}} with gamma_i inside boxes[i]: one
+    # search over lam/alpha, its letters capped by the rectangle the
+    # boxes span, then each term split over the boxes
+    rows, cols = sum(a for a, _ in boxes), sum(b for _, b in boxes)
+    out = {}
+    if sum(lam) - sum(alpha) <= rows * cols and contains(alpha, lam):
+        for mu, c in _skew_terms(SkewShape(lam, alpha), (cols,) * rows).items():
+            for gammas, c2 in _coproduct(mu, boxes).items():
+                out[gammas] = out.get(gammas, 0) + c * c2
+    return out
+
+
+def _coproduct(lam, boxes):
+    # {(alpha_1, ..., alpha_k): c^lam_{alpha_1...alpha_k}} with alpha_i
+    # inside boxes[i], walked down from lam (see the module docstring);
+    # the memo's own dict, not a copy
+    key = (lam, boxes)
+    result = _expand_memo.get(key)
+    if result is None:
+        if not boxes:
+            result = {} if lam else {(): 1}
+        else:
+            (rows, cols), rest = boxes[0], boxes[1:]
+            result = {}
+            for alpha in _shapes_under([min(cols, p) for p in lam[:rows]]):
+                for gammas, c in _split_rest(lam, alpha, rest).items():
+                    result[(alpha,) + gammas] = c
+        _expand_memo[key] = result
     return result
 
 
@@ -258,40 +289,6 @@ def expand_product(factors, box=None):
     outer = None if box is None else rect(*box)
     acc = _product([partition(f) for f in factors], outer)
     return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
-
-
-def iter_weight_split(boxes, total, outer):
-    """Tuples of partitions, one per box, with the given total weight,
-    every shape inside both its box and outer.
-
-    Each block's shapes are built directly inside the meet of its box
-    and outer, and a block weight the later blocks cannot complete
-    inside outer is skipped.  Tuples come in graded order of the first
-    block's shape, then of the next block's, and so on.
-    """
-    highs = [tuple([min(cols, o) for o in outer[:rows]]) for rows, cols in boxes]
-    # room[i]: the most cells blocks i.. can hold inside outer
-    room = [0] * (len(boxes) + 1)
-    for i in range(len(boxes) - 1, -1, -1):
-        room[i] = room[i + 1] + sum(highs[i])
-    if not 0 <= total <= room[0]:
-        return
-    table = {}  # (block bounds, weight) -> shapes, for this call only
-
-    def rec(i, rem):
-        if i == len(boxes):
-            yield ()
-            return
-        for w in range(max(0, rem - room[i + 1]), min(rem, room[i] - room[i + 1]) + 1):
-            key = (highs[i], w)
-            shapes = table.get(key)
-            if shapes is None:
-                shapes = table[key] = _bounded(highs[i], w)
-            for lam in shapes:
-                for rest in rec(i + 1, rem - w):
-                    yield (lam,) + rest
-
-    yield from rec(0, total)
 
 
 def multi_lr_coefficient(target, factors):
@@ -388,8 +385,11 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
     from a symmetric center inside center_side x center_side and one
     shape per box: both orientations of base, then each center, both
     orientations of its reduction, then the splits of the rest inside
-    the oriented target.  With center_side 0 there is no center factor,
-    and the center and its orientation are None."""
+    the oriented target, read off one expansion of target/center and
+    ordered by the graded order of each block shape in turn.  With
+    center_side 0 there is no center factor, and the center and its
+    orientation are None."""
+    boxes = tuple(map(tuple, boxes))
     if center_side:
         centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
     else:
@@ -397,14 +397,12 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
     for t_label, tgt in _oriented(base):
         for nu0 in centers:
             for t0_label, ctr in _oriented(reduce_map(nu0)):
-                head = (ctr,) if center_side else ()
-                for gammas in iter_weight_split(boxes, sum(tgt) - sum(ctr), tgt):
-                    if multi_lr_coefficient(tgt, head + gammas):
-                        yield SymWitness(
-                            (t_label, t0_label if center_side else None),
-                            nu0 if center_side else None,
-                            gammas,
-                        )
+                for gammas in sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
+                    yield SymWitness(
+                        (t_label, t0_label if center_side else None),
+                        nu0 if center_side else None,
+                        gammas,
+                    )
 
 
 def _inscribes_diagonal(nu, s, reduce_map):

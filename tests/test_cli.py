@@ -55,12 +55,16 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_deep_shapes_report_input_too_large(capsys):
-    # a shape of about a thousand rows outruns the per-row recursion of
-    # the weight splits
+    # a window of about a thousand rows outruns the per-row recursion of
+    # the pair enumeration
+    rc, out, err = run(capsys, "shimura", "pairs", "--p", "1100", "--q", "1")
+    assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
+    # products and restrictions build shapes without recursion, so a
+    # thousand-row shape is answered
     ones = ",".join(["1"] * 1100)
     rc, out, err = run(capsys, "cohom", "restrict", "--ambient", "1100x1", "--class", ones, "--levi", "1100x1")
-    assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
-    # a product is one search without recursion, so it is answered
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"factors": ["1100x1"], "terms": [{"partitions": [ones], "coeff": 1}]}
     rc, out, err = run(capsys, "cohom", "product", "--ambient", "1200x1", "--lhs", ones, "--rhs", "1")
     assert (rc, err) == (0, "")
     assert json.loads(out) == {"ambient": "1200x1", "terms": [{"partition": ones + ",1", "coeff": 1}]}

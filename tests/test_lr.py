@@ -22,7 +22,6 @@ from schubcalc.lr import (
     inscribes_antisymmetric,
     inscribes_symmetric,
     inscribes_witness,
-    iter_weight_split,
     lr_coefficient,
     multi_lr_coefficient,
     schur_expand,
@@ -824,27 +823,13 @@ def _full_box_split(boxes, total):
                 yield (lam,) + rest
 
 
-def test_weight_split_is_the_full_box_scan_inside_outer():
-    box_lists = [(), ((2, 2),), ((2, 3), (1, 2)), ((1, 2), (2, 1), (2, 2))]
-    for boxes in box_lists:
-        for outer in enumerate_in_rectangle(3, 4):
-            for total in range(sum(outer) + 2):
-                got = list(iter_weight_split(boxes, total, outer))
-                for split in got:
-                    for lam, (rows, cols) in zip(split, boxes):
-                        assert fits(lam, rows, cols) and contains(lam, outer), (boxes, outer, split)
-                want = [
-                    split
-                    for split in _full_box_split(boxes, total)
-                    if all(contains(lam, outer) for lam in split)
-                ]
-                assert got == want, (boxes, outer, total)
-    # inside (2, 1) the blocks hold 3 + 2 cells, their full boxes 9
-    boxes, outer = ((2, 3), (1, 3)), (2, 1)
-    assert list(iter_weight_split(boxes, 5, outer)) == [((2, 1), (2,))]
-    assert list(_full_box_split(boxes, 6))
-    assert list(iter_weight_split(boxes, 6, outer)) == []
-    assert list(iter_weight_split(boxes, -1, outer)) == []
+def test_shapes_under_a_row_bound_are_the_filtered_rectangle():
+    for h in SHAPES_4x4:
+        got = lr_mod._shapes_under(h)
+        assert len(got) == len(set(got)), h
+        assert set(got) == {lam for lam in enumerate_in_rectangle(len(h), h[0] if h else 0) if contains(lam, h)}, h
+    # a thousand-row bound is listed without a per-row recursion
+    assert len(lr_mod._shapes_under((1,) * 1100)) == 1101
 
 
 def _block_tuples(rows, cols, most, least=1):
@@ -883,6 +868,46 @@ def test_restrict_levi_matches_full_box_scan():
                 for lam in enumerate_in_rectangle(p, q):
                     got = restrict_levi(schubert_class((p, q), lam), LeviShape(rects))
                     assert list(got.terms.items()) == _restrict_by_full_box_scan(lam, rects), (p, q, rects, lam)
+
+
+@st.composite
+def _levi_restrictions(draw):
+    p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rects = draw(st.sampled_from(_block_tuples(p, q, 3)))
+    return (p, q), rects, draw(st.sampled_from(enumerate_in_rectangle(p, q)))
+
+
+@given(_levi_restrictions())
+@settings(max_examples=200, deadline=None)
+def test_restrict_levi_matches_full_box_scan_5x5(case):
+    # windows up to 5x5; every case beyond 4x4 is too slow for each run
+    ambient, rects, lam = case
+    got = restrict_levi(schubert_class(ambient, lam), LeviShape(rects))
+    assert list(got.terms.items()) == _restrict_by_full_box_scan(lam, rects)
+
+
+def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
+    calls = []
+
+    def counting(s, caps):
+        calls.append(s)
+        return ballot_fillings(s, caps)
+
+    monkeypatch.setattr(lr_mod, "ballot_fillings", counting)
+    x, levi = schubert_class((6, 6), (5, 4, 3, 2, 1)), LeviShape(((3, 3), (3, 3)))
+    first = restrict_levi(x, levi)
+    assert calls
+    calls.clear()
+    assert restrict_levi(x, levi) == first
+    assert calls == []
+    s = skew((5, 4, 3, 2, 1), (4, 3, 2, 1))
+    first = inscribes_symmetric((2, 2), s)
+    calls.clear()
+    assert inscribes_symmetric((2, 2), s) == first
+    # the target (2, 1) meets the centers () and (1), each in one
+    # orientation: one search of target/center apiece, the splits below
+    # them memoized
+    assert calls == [SkewShape((2, 1), ()), SkewShape((2, 1), (1,))]
 
 
 def test_restrict_levi_dimension_identity():
