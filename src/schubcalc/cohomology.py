@@ -179,7 +179,9 @@ def restrict_levi(x, levi):
     for lam, c in x.terms.items():
         for alphas, m in _coproduct(lam, rects).items():
             out[alphas] = out.get(alphas, 0) + c * m
-    return tensor_class(rects, out)
+    # _coproduct builds each block shape inside its box, so the terms
+    # skip tensor_class's checks
+    return TensorClass(rects, _normalize_terms(out, lambda kv: tuple(map(sort_key, kv[0]))))
 
 
 def dual_class_unitary(ambient, levi):

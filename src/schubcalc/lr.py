@@ -30,6 +30,12 @@ Levi restrictions read their terms off it, and the diagonal search
 expands target/center once and splits each term; multi-factor
 coefficients stay on the bottom-up products, so the tests' oracles,
 which count through multi_lr_coefficient, do not share the walk.
+The diagonal search keeps two more kinds of _expand_memo entries:
+the symmetric centers of a side, each with its oriented reduction,
+under (side, reduce_map), whose int first element no product or split
+key has, and the sorted splits of a target over a center under the
+3-tuple (tgt, ctr, boxes).  Both are tuples, so that searches running
+at the same time share them without changing one another's results.
 
 A single coefficient, lr_coefficient, is the same in four orientations:
 swap the two lower shapes, or conjugate all three.  Its memo table
@@ -83,6 +89,8 @@ class LRKey(NamedTuple):
 _memo = {}  # canonical LRKey -> int
 # products: ((lam, nu) sorted, outer shape or None) -> {mu: coeff}
 # splits: (lam, boxes) -> {(alpha_1, ..., alpha_k): coeff}
+# diagonal centers: (side, reduce_map) -> ((nu0, oriented reduction), ...)
+# diagonal splits: (tgt, ctr, boxes) -> ((gamma_1, ..., gamma_k), ...) ordered
 _expand_memo = {}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
@@ -373,11 +381,33 @@ class SymWitness(NamedTuple):
 
 def _oriented(strict):
     # a strict shape and its transpose, deduplicated, with labels
-    out = [("id", strict)]
     flip = conjugate(strict)
-    if flip != strict:
-        out.append(("conj", flip))
-    return out
+    if flip == strict:
+        return (("id", strict),)
+    return (("id", strict), ("conj", flip))
+
+
+def _centers(side, reduce_map):
+    # ((nu0, oriented reduction of nu0), ...) over the symmetric shapes
+    # inside side x side, () alone for side 0 (memo key: see the module
+    # docstring)
+    key = (side, reduce_map)
+    result = _expand_memo.get(key)
+    if result is None:
+        shapes = enumerate_in_rectangle(side, side, symmetric_only=True) if side else [()]
+        result = _expand_memo[key] = tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
+    return result
+
+
+def _ordered_splits(tgt, ctr, boxes):
+    # the splits of tgt/ctr over the boxes, in the graded order of each
+    # block shape in turn, as a tuple that no caller can change
+    key = (tgt, ctr, boxes)
+    result = _expand_memo.get(key)
+    if result is None:
+        splits = sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g)))
+        result = _expand_memo[key] = tuple(splits)
+    return result
 
 
 def diagonal_splits(base, center_side, boxes, reduce_map):
@@ -388,16 +418,15 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
     the oriented target, read off one expansion of target/center and
     ordered by the graded order of each block shape in turn.  With
     center_side 0 there is no center factor, and the center and its
-    orientation are None."""
+    orientation are None.  The centers of each (center_side,
+    reduce_map) and the ordered splits of each (target, center, boxes)
+    are memoized in _expand_memo, so a repeated search runs no ballot
+    search; the witnesses come out in the same order either way."""
     boxes = tuple(map(tuple, boxes))
-    if center_side:
-        centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
-    else:
-        centers = [()]
     for t_label, tgt in _oriented(base):
-        for nu0 in centers:
-            for t0_label, ctr in _oriented(reduce_map(nu0)):
-                for gammas in sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
+        for nu0, oriented in _centers(center_side, reduce_map):
+            for t0_label, ctr in oriented:
+                for gammas in _ordered_splits(tgt, ctr, boxes):
                     yield SymWitness(
                         (t_label, t0_label if center_side else None),
                         nu0 if center_side else None,

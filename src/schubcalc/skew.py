@@ -83,25 +83,24 @@ class _Run(NamedTuple):
 def _runs(s):
     # maximal groups of consecutive rows with identical column support;
     # None when the nonempty rows are interrupted or fail corner contact
-    pad = _padded_inner(s)
-    rows = [
-        (i, pad[i - 1], s.outer[i - 1])
-        for i in range(1, len(s.outer) + 1)
-        if s.outer[i - 1] > pad[i - 1]
-    ]
+    # a run is closed when the next nonempty row changes (lo, hi), and
+    # that row must end where the closed run starts (corner contact)
     runs = []
-    prev_i = None
-    for i, lo, hi in rows:
-        if prev_i is not None and i != prev_i + 1:
+    top = last = lo = hi = None
+    for i, (a, b) in enumerate(zip(_padded_inner(s), s.outer), 1):
+        if b <= a:
+            continue
+        if last is not None and i != last + 1:
             return None
-        prev_i = i
-        if runs and runs[-1].bottom == i - 1 and (runs[-1].lo, runs[-1].hi) == (lo, hi):
-            runs[-1] = runs[-1]._replace(bottom=i)
-        else:
-            runs.append(_Run(i, i, lo, hi))
-    for a, b in zip(runs, runs[1:]):
-        if b.hi != a.lo:
-            return None
+        if a != lo or b != hi:
+            if last is not None:
+                if b != lo:
+                    return None
+                runs.append(_Run(top, last, lo, hi))
+            top, lo, hi = i, a, b
+        last = i
+    if last is not None:
+        runs.append(_Run(top, last, lo, hi))
     return runs
 
 

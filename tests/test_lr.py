@@ -17,6 +17,7 @@ from schubcalc.errors import IncompatiblePair, ShapeNotSymmetric
 from schubcalc.lr import (
     SymWitness,
     count_images,
+    diagonal_splits,
     expand_product,
     inscribes,
     inscribes_antisymmetric,
@@ -904,10 +905,9 @@ def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
     first = inscribes_symmetric((2, 2), s)
     calls.clear()
     assert inscribes_symmetric((2, 2), s) == first
-    # the target (2, 1) meets the centers () and (1), each in one
-    # orientation: one search of target/center apiece, the splits below
-    # them memoized
-    assert calls == [SkewShape((2, 1), ()), SkewShape((2, 1), (1,))]
+    # the centers and the ordered splits of each target/center are
+    # memoized, so the warm call searches nothing
+    assert calls == []
 
 
 def test_restrict_levi_dimension_identity():
@@ -998,6 +998,91 @@ def test_diagonal_witnesses_match_full_box_scan():
                 for nu in sym:
                     assert inscribes_symmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, plus_part), (nu, s)
                     assert inscribes_antisymmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, minus_part), (nu, s)
+
+
+def _diagonal_splits_unmemoized(base, center_side, boxes, reduce_map):
+    # The diagonal search before its centers and ordered splits were
+    # memoized, kept as an oracle: the centers rebuilt and every
+    # target/center expanded and sorted on each call.
+    boxes = tuple(map(tuple, boxes))
+    if center_side:
+        centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
+    else:
+        centers = [()]
+    for t_label, tgt in lr_mod._oriented(base):
+        for nu0 in centers:
+            for t0_label, ctr in lr_mod._oriented(reduce_map(nu0)):
+                for gammas in sorted(lr_mod._split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
+                    yield SymWitness(
+                        (t_label, t0_label if center_side else None),
+                        nu0 if center_side else None,
+                        gammas,
+                    )
+
+
+def _diagonal_cases(most):
+    # diagonal_splits arguments for every symmetric nu into every
+    # symmetric chain of a p x p window, p <= most, both reductions
+    cases = []
+    for p in range(1, most + 1):
+        sym = enumerate_in_rectangle(p, p, symmetric_only=True)
+        for mu in sym:
+            for lam in sym:
+                if not contains(lam, mu):
+                    continue
+                try:
+                    center_side, flanks = symmetric_chain_split(skew(mu, lam))
+                except IncompatiblePair:
+                    continue
+                boxes = tuple((b, a) for a, b in flanks)
+                for nu in sym:
+                    for reduce_map in (plus_part, minus_part):
+                        cases.append((reduce_map(nu), center_side, boxes, reduce_map))
+    return cases
+
+
+def test_diagonal_splits_match_unmemoized_oracle(monkeypatch, fresh_cache):
+    # plus the one target/center of the p <= 6 windows, (2, 1) over (1),
+    # whose expansion does not come out in graded order
+    cases = _diagonal_cases(4) + [((2, 1), 1, ((1, 1), (2, 1)), plus_part)]
+    want = [list(_diagonal_splits_unmemoized(*case)) for case in cases]
+    assert any(len(w) > 1 for w in want)
+    for case, w in zip(cases, want):
+        # a cold memo for this case alone, then the same call warm
+        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        assert list(diagonal_splits(*case)) == w, case
+        assert list(diagonal_splits(*case)) == w, case
+    # one memo for every case, as fresh_cache leaves it, then warm
+    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    assert [list(diagonal_splits(*case)) for case in cases] == want
+    assert [list(diagonal_splits(*case)) for case in cases] == want
+
+
+def test_interleaved_diagonal_searches_agree(monkeypatch, fresh_cache):
+    # two generators on one key, stepped in turn from a cold memo: the
+    # first fills the memo entries the second then reads
+    for case in _diagonal_cases(4):
+        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        pairs = list(itertools.zip_longest(diagonal_splits(*case), diagonal_splits(*case)))
+        got_first, got_second = [a for a, _ in pairs], [b for _, b in pairs]
+        assert got_first == got_second == list(_diagonal_splits_unmemoized(*case)), case
+
+
+def test_symplectic_support_matches_unmemoized_oracle(fresh_cache):
+    # all 1,842 support lists of p <= 4 on one shared memo
+    count = 0
+    for p in range(1, 5):
+        sym = enumerate_in_rectangle(p, p, symmetric_only=True)
+        for center in range(p + 1):
+            for rects in _block_tuples(p - center, p - center, 3, least=0):
+                levi = LeviShape(rects, center)
+                for nu in sym:
+                    splits = _diagonal_splits_unmemoized(plus_part(nu), center, rects, plus_part)
+                    found = {(() if w.center is None else w.center, w.gammas) for w in splits}
+                    want = sorted(found, key=lambda pair: (sort_key(pair[0]), tuple(map(sort_key, pair[1]))))
+                    assert restrict_symplectic_levi_support(nu, levi, p) == want, (p, levi, nu)
+                    count += 1
+    assert count == 1842
 
 
 def _parse_line(line):

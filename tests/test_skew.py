@@ -7,6 +7,9 @@ from schubcalc.errors import ShapeNotSymmetric
 from schubcalc.partition import conjugate, contains, enumerate_in_rectangle, rect
 from schubcalc.skew import (
     SkewShape,
+    _padded_inner,
+    _Run,
+    _runs,
     cells,
     concat,
     conjugate_skew,
@@ -111,6 +114,42 @@ def test_compatibility_is_conjugation_invariant():
             assert flipped is None
         else:
             assert flipped == [(b, a) for a, b in reversed(chain)]
+
+
+def _runs_by_row_extension(s):
+    # The run builder that extended the last run once per row, kept as
+    # an oracle.
+    pad = _padded_inner(s)
+    rows = [
+        (i, pad[i - 1], s.outer[i - 1])
+        for i in range(1, len(s.outer) + 1)
+        if s.outer[i - 1] > pad[i - 1]
+    ]
+    runs = []
+    prev_i = None
+    for i, lo, hi in rows:
+        if prev_i is not None and i != prev_i + 1:
+            return None
+        prev_i = i
+        if runs and runs[-1].bottom == i - 1 and (runs[-1].lo, runs[-1].hi) == (lo, hi):
+            runs[-1] = runs[-1]._replace(bottom=i)
+        else:
+            runs.append(_Run(i, i, lo, hi))
+    for a, b in zip(runs, runs[1:]):
+        if b.hi != a.lo:
+            return None
+    return runs
+
+
+def test_runs_match_row_extension_oracle_5x5():
+    skews = all_skews(5, 5)
+    chains = 0
+    for s in skews:
+        want = _runs_by_row_extension(s)
+        assert _runs(s) == want, s
+        chains += want is not None
+    # chains and non-chains alike
+    assert 0 < chains < len(skews)
 
 
 def test_empty_skew_is_a_chain():
