@@ -4,7 +4,8 @@ Every run prints exactly one JSON document to stdout.  Domain failures
 exit 1 with {"error": code}, among them InputTooLarge for an input too
 deep for Python's recursion limit; malformed invocations exit 2 and
 write the complaint to stderr.  --pretty sketches the shapes involved on
-stderr, leaving stdout machine-readable.
+stderr, leaving stdout machine-readable.  Each call builds the parsers
+of the command it names only, not those of every other subcommand.
 """
 
 import argparse
@@ -212,8 +213,10 @@ def _cmd_cohom_restrict(args):
 def _cmd_cohom_dual_class(args):
     ambient = parse_box(args.ambient)
     if args.type == "unitary":
-        out = cohomology.dual_class_unitary(ambient, _parse_levi(args.levi or ""))
+        out = cohomology.dual_class_unitary(ambient, _parse_levi(args.levi))
     else:
+        if args.levi.strip():
+            raise ValueError("--levi applies to --type unitary only, not %s" % args.type)
         if ambient[0] != ambient[1]:
             raise AmbientNotSquare("%dx%d" % ambient)
         if args.type == "gsp":
@@ -336,100 +339,101 @@ def _cmd_sh_ostar(args):
 # ---------------------------------------------------------------- wiring
 
 
-def build_parser():
+_REQ = {"required": True}
+_INT = {"type": int, "required": True}
+_BLANK = {"default": ""}
+_FLAG = {"action": "store_true"}
+_PART = ("--partition", _REQ)
+_P = ("--p", _INT)
+_WINDOW = (_P, ("--q", {"type": int}))
+_PAIR = (("--lambda", {"dest": "lam", "required": True}), ("--mu", _REQ))
+_CUP = (("--ambient", _REQ), ("--lhs", _REQ), ("--rhs", _REQ))
+
+
+def _type(*choices):
+    return ("--type", {"choices": choices, "default": choices[0]})
+
+
+_FLAVOR = _type(*shimura.FLAVORS)
+_UNITARY = _type("unitary")
+
+
+# (group, op) -> (handler, options).  An option is (flag, add_argument
+# keywords); a tuple of flags is a mutually exclusive group.
+_COMMANDS = {
+    ("partition", "conj"): (_cmd_partition, (_PART,)),
+    ("partition", "comp"): (_cmd_partition, (_PART, ("--box", _REQ))),
+    ("partition", "plus"): (_cmd_partition, (_PART,)),
+    ("partition", "bar"): (_cmd_partition, (_PART,)),
+    ("partition", "minus"): (_cmd_partition, (_PART,)),
+    ("partition", "check"): (_cmd_partition, (_PART,)),
+    ("skew", "decompose"): (_cmd_skew_decompose, (("--skew", _REQ),)),
+    ("lr", "coeff"): (_cmd_lr_coeff, (("--outer", _REQ), ("--inner", _BLANK), ("--nu", _REQ))),
+    ("lr", "multi"): (_cmd_lr_multi, (("--target", _REQ), ("--factors", _REQ))),
+    ("lr", "inscribes"): (
+        _cmd_lr_inscribes,
+        (("--nu", _REQ), ("--skew", _REQ), (("--symmetric", "--antisymmetric"), _FLAG)),
+    ),
+    ("cohom", "product"): (_cmd_cohom_product, _CUP),
+    ("cohom", "pair"): (_cmd_cohom_pair, _CUP),
+    ("cohom", "restrict"): (
+        _cmd_cohom_restrict,
+        (("--ambient", _REQ), ("--class", {"dest": "cls", "required": True}), ("--levi", _REQ)),
+    ),
+    ("cohom", "dual-class"): (
+        _cmd_cohom_dual_class,
+        (("--ambient", _REQ), _type("unitary", "gsp", "ostar"), ("--levi", _BLANK)),
+    ),
+    ("shimura", "pairs"): (_cmd_sh_pairs, (*_WINDOW, _FLAVOR, ("--bidegree", {}))),
+    ("shimura", "bidegree"): (_cmd_sh_bidegree, (*_WINDOW, _FLAVOR, *_PAIR)),
+    ("shimura", "chern-action"): (
+        _cmd_sh_chern_action, (*_WINDOW, _FLAVOR, *_PAIR, ("--nu", _REQ))
+    ),
+    ("shimura", "inject"): (
+        _cmd_sh_inject, (*_WINDOW, _type("unitary", "gsp"), *_PAIR, ("--factors", _BLANK))
+    ),
+    ("shimura", "kunneth-vanish"): (
+        _cmd_sh_kunneth, (*_WINDOW, _UNITARY, *_PAIR, ("--factor-pairs", _REQ))
+    ),
+    ("shimura", "vanish"): (
+        _cmd_sh_vanish,
+        (*_WINDOW, _UNITARY, *_PAIR, ("--side", {"choices": ("P", "Q"), **_REQ}),
+         ("--bound", _INT)),
+    ),
+    ("shimura", "structure"): (_cmd_sh_structure, (*_WINDOW, _UNITARY, *_PAIR)),
+    ("shimura", "arthur"): (_cmd_sh_arthur, (*_WINDOW, ("--max-degree", _INT))),
+    ("shimura", "partha"): (_cmd_sh_partha, (*_WINDOW, ("--degree", _INT))),
+    ("shimura", "ostar-holo"): (_cmd_sh_ostar, (_P,)),
+}
+
+
+def build_parser(argv=None):
+    """The schubcalc parser, with every group but only the leaves under
+    the longest (group, op) prefix of argv that names known choices, so
+    help and error messages read as with all leaves built."""
     top = argparse.ArgumentParser(prog="schubcalc")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_part = sub.add_parser("partition").add_subparsers(dest="op", required=True)
-    for op in ("conj", "comp", "plus", "bar", "minus", "check"):
-        sp = p_part.add_parser(op, parents=[common])
-        sp.add_argument("--partition", required=True)
-        if op == "comp":
-            sp.add_argument("--box", required=True)
-        sp.set_defaults(fn=_cmd_partition)
-
-    p_skew = sub.add_parser("skew").add_subparsers(dest="op", required=True)
-    sp = p_skew.add_parser("decompose", parents=[common])
-    sp.add_argument("--skew", required=True)
-    sp.set_defaults(fn=_cmd_skew_decompose)
-
-    p_lr = sub.add_parser("lr").add_subparsers(dest="op", required=True)
-    sp = p_lr.add_parser("coeff", parents=[common])
-    sp.add_argument("--outer", required=True)
-    sp.add_argument("--inner", default="")
-    sp.add_argument("--nu", required=True)
-    sp.set_defaults(fn=_cmd_lr_coeff)
-    sp = p_lr.add_parser("multi", parents=[common])
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--factors", required=True)
-    sp.set_defaults(fn=_cmd_lr_multi)
-    sp = p_lr.add_parser("inscribes", parents=[common])
-    sp.add_argument("--nu", required=True)
-    sp.add_argument("--skew", required=True)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--symmetric", action="store_true")
-    mode.add_argument("--antisymmetric", action="store_true")
-    sp.set_defaults(fn=_cmd_lr_inscribes)
-
-    p_coh = sub.add_parser("cohom").add_subparsers(dest="op", required=True)
-    sp = p_coh.add_parser("product", parents=[common])
-    sp.add_argument("--ambient", required=True)
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs", required=True)
-    sp.set_defaults(fn=_cmd_cohom_product)
-    sp = p_coh.add_parser("pair", parents=[common])
-    sp.add_argument("--ambient", required=True)
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs", required=True)
-    sp.set_defaults(fn=_cmd_cohom_pair)
-    sp = p_coh.add_parser("restrict", parents=[common])
-    sp.add_argument("--ambient", required=True)
-    sp.add_argument("--class", dest="cls", required=True)
-    sp.add_argument("--levi", required=True)
-    sp.set_defaults(fn=_cmd_cohom_restrict)
-    sp = p_coh.add_parser("dual-class", parents=[common])
-    sp.add_argument("--ambient", required=True)
-    sp.add_argument("--type", choices=("unitary", "gsp", "ostar"), default="unitary")
-    sp.add_argument("--levi", default="")
-    sp.set_defaults(fn=_cmd_cohom_dual_class)
-
-    p_sh = sub.add_parser("shimura").add_subparsers(dest="op", required=True)
-
-    def sh(name, fn, pair_args=True, flavors=shimura.FLAVORS):
-        sp = p_sh.add_parser(name, parents=[common])
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--q", type=int)
-        if flavors:
-            sp.add_argument("--type", choices=flavors, default=flavors[0])
-        if pair_args:
-            sp.add_argument("--lambda", dest="lam", required=True)
-            sp.add_argument("--mu", required=True)
+    path = tuple(argv or ())[:2]
+    while path and not any(key[: len(path)] == path for key in _COMMANDS):
+        path = path[:-1]
+    groups = {}
+    for key, (fn, options) in _COMMANDS.items():
+        group, op = key
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="op", required=True)
+        if key[: len(path)] != path:
+            continue
+        sp = groups[group].add_parser(op, parents=[common])
+        for flags, kwargs in options:
+            if isinstance(flags, tuple):
+                mode = sp.add_mutually_exclusive_group()
+                for flag in flags:
+                    mode.add_argument(flag, **kwargs)
+            else:
+                sp.add_argument(flags, **kwargs)
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = sh("pairs", _cmd_sh_pairs, pair_args=False)
-    sp.add_argument("--bidegree")
-    sh("bidegree", _cmd_sh_bidegree)
-    sp = sh("chern-action", _cmd_sh_chern_action)
-    sp.add_argument("--nu", required=True)
-    sp = sh("inject", _cmd_sh_inject, flavors=("unitary", "gsp"))
-    sp.add_argument("--factors", default="")
-    sp = sh("kunneth-vanish", _cmd_sh_kunneth, flavors=("unitary",))
-    sp.add_argument("--factor-pairs", dest="factor_pairs", required=True)
-    sp = sh("vanish", _cmd_sh_vanish, flavors=("unitary",))
-    sp.add_argument("--side", choices=("P", "Q"), required=True)
-    sp.add_argument("--bound", type=int, required=True)
-    sh("structure", _cmd_sh_structure, flavors=("unitary",))
-    sp = sh("arthur", _cmd_sh_arthur, pair_args=False, flavors=None)
-    sp.add_argument("--max-degree", dest="max_degree", type=int, required=True)
-    sp = sh("partha", _cmd_sh_partha, pair_args=False, flavors=None)
-    sp.add_argument("--degree", type=int, required=True)
-    sp = p_sh.add_parser("ostar-holo", parents=[common])
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(fn=_cmd_sh_ostar)
-
     return top
 
 
@@ -442,8 +446,9 @@ def _run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         doc, shapes = _run(args)
     except DomainError as err:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import schubcalc
-from schubcalc.cli import main
+from schubcalc import cli, shimura
+from schubcalc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -180,6 +182,11 @@ def test_cohom_dual_classes(capsys):
     assert json.loads(out)["terms"] == [{"partition": "2,1", "coeff": 1}]
     rc, out, _ = run(capsys, "cohom", "dual-class", "--ambient", "2x3", "--type", "gsp")
     assert rc == 1 and out == '{"error":"AmbientNotSquare"}\n'
+    # a Levi shapes the unitary class only; the others refuse one
+    for kind in ("gsp", "ostar"):
+        argv = ("cohom", "dual-class", "--ambient", "2x2", "--type", kind, "--levi", "5x5")
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "") and "--levi" in err
 
 
 def test_shimura_pairs(capsys):
@@ -332,14 +339,30 @@ def test_shimura_ostar(capsys):
     ]
 
 
-def _process_run(cache_dir, *args):
+def _process(cache_dir, *args):
     # one real schubcalc process with its own coefficient cache
     src = str(Path(schubcalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(cache_dir))
     argv = [sys.executable, "-m", "schubcalc.cli", *args]
-    done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    return subprocess.run(argv, env=env, capture_output=True, timeout=60)
+
+
+def _process_run(cache_dir, *args):
+    done = _process(cache_dir, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_real_process_parses_its_own_argv(tmp_path, capsys):
+    for args in (("--help",), ("shimura", "--help")):
+        done = _process(tmp_path, *args)
+        assert done.returncode == 0
+        assert done.stdout.startswith(b"usage: schubcalc")
+    done = _process(tmp_path, "bogus")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert b"invalid choice: 'bogus'" in done.stderr
+    argv = ("lr", "coeff", "--outer", "3,2,1", "--inner", "2,1", "--nu", "2,1")
+    assert _process_run(tmp_path, *argv) == run(capsys, *argv)[1].encode()
 
 
 def _cohom_product_run(cache_dir, lhs, rhs):
@@ -366,3 +389,200 @@ def test_product_above_the_window_degree_computes_nothing(tmp_path):
     out = _cohom_product_run(tmp_path, "4,4,4,2", "4,3,2,2")
     assert out == b'{"ambient":"4x4","terms":[]}\n'
     assert not (tmp_path / "lr-cache.txt").exists()
+
+
+def _full_parser():
+    # the parser as it was built before argv chose the leaves: every leaf,
+    # written out one by one; the reference for build_parser
+    top = argparse.ArgumentParser(prog="schubcalc")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p_part = sub.add_parser("partition").add_subparsers(dest="op", required=True)
+    for op in ("conj", "comp", "plus", "bar", "minus", "check"):
+        sp = p_part.add_parser(op, parents=[common])
+        sp.add_argument("--partition", required=True)
+        if op == "comp":
+            sp.add_argument("--box", required=True)
+        sp.set_defaults(fn=cli._cmd_partition)
+
+    p_skew = sub.add_parser("skew").add_subparsers(dest="op", required=True)
+    sp = p_skew.add_parser("decompose", parents=[common])
+    sp.add_argument("--skew", required=True)
+    sp.set_defaults(fn=cli._cmd_skew_decompose)
+
+    p_lr = sub.add_parser("lr").add_subparsers(dest="op", required=True)
+    sp = p_lr.add_parser("coeff", parents=[common])
+    sp.add_argument("--outer", required=True)
+    sp.add_argument("--inner", default="")
+    sp.add_argument("--nu", required=True)
+    sp.set_defaults(fn=cli._cmd_lr_coeff)
+    sp = p_lr.add_parser("multi", parents=[common])
+    sp.add_argument("--target", required=True)
+    sp.add_argument("--factors", required=True)
+    sp.set_defaults(fn=cli._cmd_lr_multi)
+    sp = p_lr.add_parser("inscribes", parents=[common])
+    sp.add_argument("--nu", required=True)
+    sp.add_argument("--skew", required=True)
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--symmetric", action="store_true")
+    mode.add_argument("--antisymmetric", action="store_true")
+    sp.set_defaults(fn=cli._cmd_lr_inscribes)
+
+    p_coh = sub.add_parser("cohom").add_subparsers(dest="op", required=True)
+    sp = p_coh.add_parser("product", parents=[common])
+    sp.add_argument("--ambient", required=True)
+    sp.add_argument("--lhs", required=True)
+    sp.add_argument("--rhs", required=True)
+    sp.set_defaults(fn=cli._cmd_cohom_product)
+    sp = p_coh.add_parser("pair", parents=[common])
+    sp.add_argument("--ambient", required=True)
+    sp.add_argument("--lhs", required=True)
+    sp.add_argument("--rhs", required=True)
+    sp.set_defaults(fn=cli._cmd_cohom_pair)
+    sp = p_coh.add_parser("restrict", parents=[common])
+    sp.add_argument("--ambient", required=True)
+    sp.add_argument("--class", dest="cls", required=True)
+    sp.add_argument("--levi", required=True)
+    sp.set_defaults(fn=cli._cmd_cohom_restrict)
+    sp = p_coh.add_parser("dual-class", parents=[common])
+    sp.add_argument("--ambient", required=True)
+    sp.add_argument("--type", choices=("unitary", "gsp", "ostar"), default="unitary")
+    sp.add_argument("--levi", default="")
+    sp.set_defaults(fn=cli._cmd_cohom_dual_class)
+
+    p_sh = sub.add_parser("shimura").add_subparsers(dest="op", required=True)
+
+    def sh(name, fn, pair_args=True, flavors=shimura.FLAVORS):
+        sp = p_sh.add_parser(name, parents=[common])
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--q", type=int)
+        if flavors:
+            sp.add_argument("--type", choices=flavors, default=flavors[0])
+        if pair_args:
+            sp.add_argument("--lambda", dest="lam", required=True)
+            sp.add_argument("--mu", required=True)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    sp = sh("pairs", cli._cmd_sh_pairs, pair_args=False)
+    sp.add_argument("--bidegree")
+    sh("bidegree", cli._cmd_sh_bidegree)
+    sp = sh("chern-action", cli._cmd_sh_chern_action)
+    sp.add_argument("--nu", required=True)
+    sp = sh("inject", cli._cmd_sh_inject, flavors=("unitary", "gsp"))
+    sp.add_argument("--factors", default="")
+    sp = sh("kunneth-vanish", cli._cmd_sh_kunneth, flavors=("unitary",))
+    sp.add_argument("--factor-pairs", dest="factor_pairs", required=True)
+    sp = sh("vanish", cli._cmd_sh_vanish, flavors=("unitary",))
+    sp.add_argument("--side", choices=("P", "Q"), required=True)
+    sp.add_argument("--bound", type=int, required=True)
+    sh("structure", cli._cmd_sh_structure, flavors=("unitary",))
+    sp = sh("arthur", cli._cmd_sh_arthur, pair_args=False, flavors=None)
+    sp.add_argument("--max-degree", dest="max_degree", type=int, required=True)
+    sp = sh("partha", cli._cmd_sh_partha, pair_args=False, flavors=None)
+    sp.add_argument("--degree", type=int, required=True)
+    sp = p_sh.add_parser("ostar-holo", parents=[common])
+    sp.add_argument("--p", type=int, required=True)
+    sp.set_defaults(fn=cli._cmd_sh_ostar)
+
+    return top
+
+
+_PAIR = ("--p", "3", "--q", "3", "--lambda", "1,1", "--mu", "3,3,1")
+_LEAF_ARGVS = [
+    ("partition", "conj", "--partition", "3,1"),
+    ("partition", "comp", "--partition", "3,1", "--box", "3x3", "--pretty"),
+    ("partition", "plus", "--partition", "2,1"),
+    ("partition", "bar", "--partition", "3,1"),
+    ("partition", "minus", "--partition", "2,1"),
+    ("partition", "check", "--partition", "2,1"),
+    ("skew", "decompose", "--skew", "2,2/1"),
+    ("lr", "coeff", "--outer", "2,1", "--nu", "1"),
+    ("lr", "multi", "--target", "2,1", "--factors", "1*1*1"),
+    ("lr", "inscribes", "--nu", "1", "--skew", "2,1", "--antisymmetric"),
+    ("cohom", "product", "--ambient", "2x2", "--lhs", "1", "--rhs", "1"),
+    ("cohom", "pair", "--ambient", "2x2", "--lhs", "1", "--rhs", "2,1"),
+    ("cohom", "restrict", "--ambient", "2x2", "--class", "1", "--levi", "1x1*1x1"),
+    ("cohom", "dual-class", "--ambient", "2x2", "--type", "ostar"),
+    ("shimura", "pairs", "--p", "2", "--bidegree", "1,1"),
+    ("shimura", "bidegree", *_PAIR, "--type", "orthogonal"),
+    ("shimura", "chern-action", *_PAIR, "--nu", "1"),
+    ("shimura", "inject", *_PAIR, "--factors", "2x1"),
+    ("shimura", "kunneth-vanish", *_PAIR, "--factor-pairs", "1x1:1:1"),
+    ("shimura", "vanish", *_PAIR, "--side", "Q", "--bound", "1"),
+    ("shimura", "structure", *_PAIR),
+    ("shimura", "arthur", "--p", "2", "--q", "3", "--max-degree", "3"),
+    ("shimura", "partha", "--p", "2", "--degree", "1", "--pretty"),
+    ("shimura", "ostar-holo", "--p", "2"),
+]
+_HELP_ARGVS = (
+    [("--help",), ("-h", "lr")]
+    + [(group, "--help") for group in ("partition", "skew", "lr", "cohom", "shimura")]
+    + [argv[:2] + ("-h",) for argv in _LEAF_ARGVS]
+)
+_MALFORMED_ARGVS = [
+    (),
+    ("bogus",),
+    ("bogus", "coeff"),
+    ("lr",),
+    ("lr", "bogus"),
+    ("lr", "coe", "--outer", "1", "--nu", "1"),
+    ("--pretty", "lr", "coeff", "--outer", "1", "--nu", "1"),
+    ("lr", "--pretty", "coeff", "--outer", "1", "--nu", "1"),
+    ("partition", "conj", "--partition", "1", "--bogus"),
+    ("partition", "conj", "--partition", "1", "lr"),
+    ("lr", "inscribes", "--nu", "1", "--skew", "1", "--symmetric", "--antisymmetric"),
+    ("cohom", "dual-class", "--ambient", "2x2", "--type", "bogus"),
+    ("shimura", "vanish", *_PAIR, "--side", "R", "--bound", "1"),
+    ("shimura", "arthur", "--p", "x", "--max-degree", "1"),
+    ("lr", "coeff", "--outer", "1"),
+    ("cohom", "restrict", "--ambient", "2x2", "--levi", "1x1"),
+    ("--", "lr", "coeff", "--outer", "1", "--nu", "1"),
+    ("lr", "--", "coeff", "--outer", "1", "--nu", "1"),
+]
+
+
+def _outcome(parser, argv, capsys):
+    try:
+        result = ("parsed", vars(parser.parse_args(argv)))
+    except SystemExit as done:
+        result = ("exit", done.code)
+    return result + capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _LEAF_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS, ids=" ".join)
+def test_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    # help, usage and error text, exit codes and parsed values read as if
+    # every leaf were built
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _outcome(_full_parser(), list(argv), capsys)
+    assert _outcome(build_parser(list(argv)), list(argv), capsys) == want
+    assert _outcome(build_parser(), list(argv), capsys) == want
+    assert want[0] == ("parsed" if argv in _LEAF_ARGVS else "exit")
+
+
+def _parsers_built(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    return len(built)
+
+
+def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
+    # top, common and five groups are always built: 7 of the 31 parsers
+    assert _parsers_built(monkeypatch, ["lr", "coeff", "--outer", "2,1", "--nu", "1"]) <= 8
+    assert _parsers_built(monkeypatch, ["bogus"]) == 31
+    assert _parsers_built(monkeypatch, ["lr", "--help"]) == 7 + 3
+    capsys.readouterr()
