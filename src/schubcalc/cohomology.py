@@ -6,7 +6,7 @@ the shapes inside the window, as the classes vanishing outside it are
 never formed.  Grading is by number of cells (complex codimension).
 """
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import (
     AmbientMismatch,
@@ -37,38 +37,88 @@ def _normalize_terms(terms, sortfn):
     return dict(sorted(clean.items(), key=sortfn))
 
 
-@dataclass(frozen=True)
-class CohomClass:
-    ambient: tuple
-    terms: dict = field(default_factory=dict)
+# bound once: looking up object.__setattr__ for every field made a
+# CompatiblePair 10-20% slower to build
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Immutable value with named fields, equal by class and fields.
+
+    A subclass lists its fields in __slots__ and sets each one in its
+    own __init__ through _set_field, past the blocked __setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __reduce__(self):
+        # rebuilt through __init__, as __setattr__ blocks the slot restore
+        return type(self), self._values(self)
+
+
+class CohomClass(_Record):
+    __slots__ = ("ambient", "terms")
+
+    def __init__(self, ambient, terms=None):
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "terms", {} if terms is None else terms)
 
     def coefficient(self, lam):
         return self.terms.get(partition(lam), 0)
 
 
-@dataclass(frozen=True)
-class TensorClass:
-    factors: tuple  # (rows, cols) per component
-    terms: dict = field(default_factory=dict)
+class TensorClass(_Record):
+    __slots__ = ("factors", "terms")  # factors: (rows, cols) per component
+
+    def __init__(self, factors, terms=None):
+        _set_field(self, "factors", factors)
+        _set_field(self, "terms", {} if terms is None else terms)
 
     def coefficient(self, lams):
         return self.terms.get(tuple(partition(l) for l in lams), 0)
 
 
-@dataclass(frozen=True)
-class IsotropicClass:
-    rank: int
-    flavor: str  # "lagrangian" or "orthogonal"
-    terms: dict = field(default_factory=dict)
+class IsotropicClass(_Record):
+    __slots__ = ("rank", "flavor", "terms")  # flavor: "lagrangian" or "orthogonal"
+
+    def __init__(self, rank, flavor, terms=None):
+        _set_field(self, "rank", rank)
+        _set_field(self, "flavor", flavor)
+        _set_field(self, "terms", {} if terms is None else terms)
 
     def coefficient(self, key):
         return self.terms.get(partition(key), 0)
 
 
-@dataclass(frozen=True)
-class LeviShape:
-    rects: tuple  # (rows, cols) blocks
-    center: int = None  # side of the diagonal block, None for type-A Levis
+class LeviShape(_Record):
+    # rects: (rows, cols) blocks; center: side of the diagonal block,
+    # None for type-A Levis
+    __slots__ = ("rects", "center")
+
+    def __init__(self, rects, center=None):
+        _set_field(self, "rects", rects)
+        _set_field(self, "center", center)
 
 
 def cohom_class(ambient, terms):
@@ -175,12 +225,16 @@ def restrict_levi(x, levi):
     """Restriction to a product of block factors, one per Levi rectangle."""
     check_levi_unitary(x.ambient, levi)
     rects = tuple(map(tuple, levi.rects))
+    # _coproduct builds each block shape inside its box, so the terms
+    # skip tensor_class's checks
+    if len(x.terms) == 1:
+        # _coproduct keeps its terms in graded order: no sort needed
+        ((lam, c),) = x.terms.items()
+        return TensorClass(rects, {alphas: c * m for alphas, m in _coproduct(lam, rects).items()} if c else {})
     out = {}
     for lam, c in x.terms.items():
         for alphas, m in _coproduct(lam, rects).items():
             out[alphas] = out.get(alphas, 0) + c * m
-    # _coproduct builds each block shape inside its box, so the terms
-    # skip tensor_class's checks
     return TensorClass(rects, _normalize_terms(out, lambda kv: tuple(map(sort_key, kv[0]))))
 
 

@@ -26,7 +26,9 @@ _coproduct(lam, boxes) takes each alpha_1 inside both lam and the first
 box, expands lam/alpha_1 in one ballot search with its letters capped
 by the rectangle the other boxes span, and splits each term mu over
 those boxes the same way, so every shape it visits lies under lam.
-Levi restrictions read their terms off it, and the diagonal search
+Its memoized terms are sorted once, into the graded order of each
+alpha_i in turn, so the Levi restriction of one Schubert class reads
+its terms off it without sorting again.  The diagonal search
 expands target/center once and splits each term; multi-factor
 coefficients stay on the bottom-up products, so the tests' oracles,
 which count through multi_lr_coefficient, do not share the walk.
@@ -247,8 +249,9 @@ def _split_rest(lam, alpha, boxes):
 
 def _coproduct(lam, boxes):
     # {(alpha_1, ..., alpha_k): c^lam_{alpha_1...alpha_k}} with alpha_i
-    # inside boxes[i], walked down from lam (see the module docstring);
-    # the memo's own dict, not a copy
+    # inside boxes[i], walked down from lam (see the module docstring),
+    # in the graded order of each alpha_i in turn; the memo's own dict,
+    # not a copy
     key = (lam, boxes)
     result = _expand_memo.get(key)
     if result is None:
@@ -256,10 +259,11 @@ def _coproduct(lam, boxes):
             result = {} if lam else {(): 1}
         else:
             (rows, cols), rest = boxes[0], boxes[1:]
-            result = {}
+            terms = {}
             for alpha in _shapes_under([min(cols, p) for p in lam[:rows]]):
                 for gammas, c in _split_rest(lam, alpha, rest).items():
-                    result[(alpha,) + gammas] = c
+                    terms[(alpha,) + gammas] = c
+            result = dict(sorted(terms.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
         _expand_memo[key] = result
     return result
 

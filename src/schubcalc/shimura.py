@@ -8,10 +8,9 @@ enumerate holomorphic families for the two square-window types.
 """
 
 import itertools
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .cohomology import LeviShape, check_levi_unitary
+from .cohomology import LeviShape, _Record, _set_field, check_levi_unitary
 from .errors import (
     AmbientNotSquare,
     BoundExceeded,
@@ -48,13 +47,16 @@ from .skew import SkewShape, rectangle_decomposition, skew, symmetric_chain_spli
 FLAVORS = ("unitary", "symplectic", "orthogonal")
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
-    lam: tuple
-    mu: tuple
-    ambient: tuple
-    flavor: str
-    chain: tuple  # rectangle sizes of mu/lam, top right first
+class CompatiblePair(_Record):
+    # chain: rectangle sizes of mu/lam, top right first
+    __slots__ = ("lam", "mu", "ambient", "flavor", "chain")
+
+    def __init__(self, lam, mu, ambient, flavor, chain):
+        _set_field(self, "lam", lam)
+        _set_field(self, "mu", mu)
+        _set_field(self, "ambient", ambient)
+        _set_field(self, "flavor", flavor)
+        _set_field(self, "chain", chain)
 
     @property
     def skew(self):
@@ -411,12 +413,15 @@ def partha_decomposition(ambient, degree):
     ]
 
 
-@dataclass(frozen=True)
-class VZComponent:
-    pair: CompatiblePair
-    indices: tuple  # one partition per chain block (flanks for square flavors)
-    center: Optional[tuple] = None
-    bidegree: Optional[tuple] = None
+class VZComponent(_Record):
+    # indices: one partition per chain block (flanks for square flavors)
+    __slots__ = ("pair", "indices", "center", "bidegree")
+
+    def __init__(self, pair, indices, center=None, bidegree=None):
+        _set_field(self, "pair", pair)
+        _set_field(self, "indices", indices)
+        _set_field(self, "center", center)
+        _set_field(self, "bidegree", bidegree)
 
 
 def enumerate_components(pair):

@@ -365,6 +365,21 @@ def test_real_process_parses_its_own_argv(tmp_path, capsys):
     assert _process_run(tmp_path, *argv) == run(capsys, *argv)[1].encode()
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect and builds its methods with exec on
+    # every start; -S keeps site packages from importing it first
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    script = "import schubcalc.cli, sys; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 def _cohom_product_run(cache_dir, lhs, rhs):
     return _process_run(cache_dir, "cohom", "product", "--ambient", "4x4", "--lhs", lhs, "--rhs", rhs)
 

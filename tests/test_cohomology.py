@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import types
 
 import pytest
 
@@ -77,6 +81,90 @@ def test_class_equality_is_by_value(make, amb, other_amb):
     assert x != x.terms
     with pytest.raises(TypeError):
         hash(x)
+
+
+# (value, its fields in order, its repr) for each value type here
+_VALUES = [
+    (CohomClass((2, 2), {(1,): 2}), ("ambient", "terms"), "CohomClass(ambient=(2, 2), terms={(1,): 2})"),
+    (TensorClass(((2, 2),), {((1,),): 1}), ("factors", "terms"), "TensorClass(factors=((2, 2),), terms={((1,),): 1})"),
+    (
+        IsotropicClass(2, "lagrangian", {(1,): 1}),
+        ("rank", "flavor", "terms"),
+        "IsotropicClass(rank=2, flavor='lagrangian', terms={(1,): 1})",
+    ),
+    (LeviShape(((2, 2),)), ("rects", "center"), "LeviShape(rects=((2, 2),), center=None)"),
+    (LeviShape(((1, 1),), 2), ("rects", "center"), "LeviShape(rects=((1, 1),), center=2)"),
+]
+_VALUE_IDS = ["cohom", "tensor", "isotropic", "levi", "levi-center"]
+
+
+def check_value_type(x, fields, text):
+    """The contract every value type keeps: read-only fields, equality by
+    class and fields, hashing of hashable fields, a fixed repr, and
+    pickle and copy round trips."""
+    values = [getattr(x, f) for f in fields]
+    for name, value in zip(fields, values):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) is value
+    same = type(x)(*values)
+    assert x == same and not x != same
+    for i in range(len(values)):
+        assert x != type(x)(*values[:i], object(), *values[i + 1 :])
+    # a subclass, and an unrelated class, with the same fields
+    twin = type(type(x).__name__, (type(x),), {})(*values)
+    assert x != twin and twin != x
+    assert x != types.SimpleNamespace(**dict(zip(fields, values)))
+    assert x != tuple(values) and tuple(values) != x
+    if "terms" in fields:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == hash(same)
+    assert repr(x) == text
+    assert type(x).__match_args__ == fields
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert type(back) is type(x) and back == x
+    shallow, deep = copy.copy(x), copy.deepcopy(x)
+    assert type(shallow) is type(deep) is type(x)
+    assert all(getattr(shallow, f) is v for f, v in zip(fields, values))
+    assert deep == x
+    if "terms" in fields:
+        assert deep.terms is not x.terms
+
+
+@pytest.mark.parametrize("x, fields, text", _VALUES, ids=_VALUE_IDS)
+def test_value_type_contract(x, fields, text):
+    check_value_type(x, fields, text)
+
+
+@pytest.mark.parametrize("x, fields, text", _VALUES, ids=_VALUE_IDS)
+def test_value_types_are_plain_slotted_classes(x, fields, text):
+    assert not isinstance(x, tuple)
+    assert not dataclasses.is_dataclass(x)
+
+
+def test_value_types_take_keywords_and_defaults():
+    assert CohomClass(ambient=(2, 2), terms={(1,): 2}) == CohomClass((2, 2), {(1,): 2})
+    assert TensorClass(factors=((2, 2),), terms={((1,),): 1}) == TensorClass(((2, 2),), {((1,),): 1})
+    assert IsotropicClass(rank=2, flavor="orthogonal", terms={(1,): 1}) == IsotropicClass(2, "orthogonal", {(1,): 1})
+    assert LeviShape(rects=((2, 2),), center=1) == LeviShape(((2, 2),), 1)
+    assert LeviShape(((2, 2),)).center is None
+    assert LeviShape(rects=((2, 2),)) == LeviShape(((2, 2),), None)
+    # an omitted terms is a fresh empty dict per instance
+    for make in (lambda: CohomClass((2, 2)), lambda: TensorClass(factors=((2, 2),)), lambda: IsotropicClass(2, "orthogonal")):
+        a, b = make(), make()
+        assert a.terms == {} and a.terms is not b.terms
+        assert a == b
+    with pytest.raises(TypeError):
+        CohomClass()
+    with pytest.raises(TypeError):
+        LeviShape(((2, 2),), None, 1)
+    with pytest.raises(TypeError):
+        LeviShape(((2, 2),), rect=1)
 
 
 def test_cup_frozen_examples():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import schubcalc.lr as lr_mod
 from schubcalc.cohomology import (
+    CohomClass,
     LeviShape,
     cohom_class,
     dual_class_unitary,
@@ -908,6 +909,43 @@ def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
     # the centers and the ordered splits of each target/center are
     # memoized, so the warm call searches nothing
     assert calls == []
+
+
+def _restrict_levi_sorting(x, levi):
+    # The Levi restriction before _coproduct kept its terms in graded
+    # order, kept as an oracle: every class's terms summed, then sorted.
+    rects = tuple(map(tuple, levi.rects))
+    out = {}
+    for lam, c in x.terms.items():
+        for alphas, m in lr_mod._coproduct(lam, rects).items():
+            out[alphas] = out.get(alphas, 0) + c * m
+    clean = {k: c for k, c in out.items() if c}
+    return list(sorted(clean.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
+
+
+def test_restrict_levi_matches_sorting_oracle_5x5(monkeypatch, fresh_cache):
+    # every class of the 5x5 box, and per Levi one class of many terms
+    # and one term with coefficient 0, restricted to every Levi of one to
+    # three blocks, terms in order
+    shapes = enumerate_in_rectangle(5, 5)
+    many = cohom_class((5, 5), {lam: 1 + i % 3 for i, lam in enumerate(shapes) if sum(lam) == 6})
+    cases = []
+    for rects in _block_tuples(5, 5, 3):
+        levi = LeviShape(rects)
+        cases += [(schubert_class((5, 5), lam), levi) for lam in shapes]
+        cases += [(many, levi), (CohomClass((5, 5), {(2, 1): 0}), levi)]
+    assert len(cases) == 225 * 254
+    for x, levi in cases:
+        # a cold memo for this case alone, then the same call warm
+        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        got = restrict_levi(x, levi)
+        assert list(restrict_levi(x, levi).terms.items()) == list(got.terms.items())
+        assert list(got.terms.items()) == _restrict_levi_sorting(x, levi), (x, levi)
+    # one memo for every case, then warm
+    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    for _ in range(2):
+        for x, levi in cases:
+            assert list(restrict_levi(x, levi).terms.items()) == _restrict_levi_sorting(x, levi), (x, levi)
 
 
 def test_restrict_levi_dimension_identity():

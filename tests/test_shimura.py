@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import subprocess
@@ -29,7 +30,9 @@ from schubcalc.partition import (
 )
 from schubcalc.shimura import (
     FLAVORS,
+    CompatiblePair,
     OstarComponent,
+    VZComponent,
     arthur_cover,
     chern_action_nonzero,
     count_components,
@@ -54,6 +57,52 @@ from schubcalc.shimura import (
     vanishing_criterion,
     vz_bidegree,
 )
+from test_cohomology import check_value_type
+
+
+_PAIR = make_pair((1,), (2, 1), (2, 2))
+_PAIR_TEXT = "CompatiblePair(lam=(1,), mu=(2, 1), ambient=(2, 2), flavor='unitary', chain=((1, 1), (1, 1)))"
+# (value, its fields in order, its repr) for each value type here
+_VALUES = [
+    (_PAIR, ("lam", "mu", "ambient", "flavor", "chain"), _PAIR_TEXT),
+    (
+        VZComponent(_PAIR, ((), ()), None, (1, 1)),
+        ("pair", "indices", "center", "bidegree"),
+        "VZComponent(pair=%s, indices=((), ()), center=None, bidegree=(1, 1))" % _PAIR_TEXT,
+    ),
+    (
+        enumerate_components(make_pair((), (1,), (2, 2), "symplectic"))[1],
+        ("pair", "indices", "center", "bidegree"),
+        "VZComponent(pair=CompatiblePair(lam=(), mu=(1,), ambient=(2, 2), flavor='symplectic', chain=((1, 1),)),"
+        " indices=(), center=(1,), bidegree=None)",
+    ),
+]
+_VALUE_IDS = ["pair", "component", "component-center"]
+
+
+@pytest.mark.parametrize("x, fields, text", _VALUES, ids=_VALUE_IDS)
+def test_value_type_contract(x, fields, text):
+    check_value_type(x, fields, text)
+
+
+@pytest.mark.parametrize("x, fields, text", _VALUES, ids=_VALUE_IDS)
+def test_value_types_are_plain_slotted_classes(x, fields, text):
+    assert not isinstance(x, tuple)
+    assert not dataclasses.is_dataclass(x)
+
+
+def test_value_types_take_keywords_and_defaults():
+    fields = dict(lam=(1,), mu=(2, 1), ambient=(2, 2), flavor="unitary", chain=((1, 1), (1, 1)))
+    assert CompatiblePair(**fields) == _PAIR
+    assert CompatiblePair(**fields).skew == _PAIR.skew
+    comp = VZComponent(pair=_PAIR, indices=((), ()))
+    assert comp.center is None and comp.bidegree is None
+    assert comp == VZComponent(_PAIR, ((), ()), None, None)
+    assert VZComponent(_PAIR, (), center=(1,)) == VZComponent(_PAIR, (), (1,), None)
+    with pytest.raises(TypeError):
+        CompatiblePair((1,), (2, 1), (2, 2), "unitary")
+    with pytest.raises(TypeError):
+        VZComponent(pair=_PAIR)
 
 
 def test_make_pair_validation():
