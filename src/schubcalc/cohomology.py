@@ -253,23 +253,27 @@ def _require_square(ambient):
     return ambient[0]
 
 
+def _restrict_isotropic(x, p, flavor, qualifies, key_of):
+    # each basis shape that qualifies, or else whose transpose does, is
+    # kept under key_of of the one that qualifies; the rest are dropped
+    out = {}
+    for lam, c in x.terms.items():
+        if not qualifies(lam):
+            lam = conjugate(lam)
+            if not qualifies(lam):
+                continue
+        key = key_of(lam)
+        out[key] = out.get(key, 0) + c
+    return IsotropicClass(p, flavor, _normalize_terms(out, lambda kv: sort_key(kv[0])))
+
+
 def restrict_to_lagrangian(x):
     """Push a square-window class to the symmetric-form fixed locus.
 
     A basis shape survives when it or its transpose is strict; the
     image is keyed by the symmetric shape with those diagonal hooks.
     """
-    p = _require_square(x.ambient)
-    out = {}
-    for lam, c in x.terms.items():
-        if is_strict(lam):
-            key = from_plus_part(lam) if lam else ()
-        elif is_strict(conjugate(lam)):
-            key = from_plus_part(conjugate(lam))
-        else:
-            continue
-        out[key] = out.get(key, 0) + c
-    return IsotropicClass(p, "lagrangian", _normalize_terms(out, lambda kv: sort_key(kv[0])))
+    return _restrict_isotropic(x, _require_square(x.ambient), "lagrangian", is_strict, from_plus_part)
 
 
 def restrict_to_orthogonal(x):
@@ -281,16 +285,7 @@ def restrict_to_orthogonal(x):
     def qualifies(lam):
         return is_strict(lam) and (not lam or lam[0] <= p - 1)
 
-    out = {}
-    for lam, c in x.terms.items():
-        if qualifies(lam):
-            key = lam
-        elif qualifies(conjugate(lam)):
-            key = conjugate(lam)
-        else:
-            continue
-        out[key] = out.get(key, 0) + c
-    return IsotropicClass(p, "orthogonal", _normalize_terms(out, lambda kv: sort_key(kv[0])))
+    return _restrict_isotropic(x, p, "orthogonal", qualifies, lambda lam: lam)
 
 
 def dual_class_gsp(p):

@@ -32,20 +32,23 @@ its terms off it without sorting again.  The diagonal search
 expands target/center once and splits each term; multi-factor
 coefficients stay on the bottom-up products, so the tests' oracles,
 which count through multi_lr_coefficient, do not share the walk.
-The diagonal search keeps two more kinds of _expand_memo entries:
-the symmetric centers of a side, each with its oriented reduction,
-under (side, reduce_map), whose int first element no product or split
-key has, and the sorted splits of a target over a center under the
-3-tuple (tgt, ctr, boxes).  Both are tuples, so that searches running
-at the same time share them without changing one another's results.
+The diagonal search also memoizes the symmetric centers of a side,
+each with its oriented reduction, and the sorted splits of a target
+over a center.
+
+Each memoized helper (_coefficient, _expand_pair, _coproduct, _centers
+and _ordered_splits) keeps its own functools.cache table, which
+cache_clear() empties and cache_info() counts.  A hit returns the
+table's own dict or tuple, shared by every caller, so callers must not
+mutate it; the tuples let searches running at the same time share them.
 
 A single coefficient, lr_coefficient, is the same in four orientations:
-swap the two lower shapes, or conjugate all three.  Its memo table
-(_memo) and the cache file are keyed by the least of the four keys, but
-a miss counts the fillings in the cheapest orientation: the lighter
-lower shape as the content, so the skew has the fewer cells, then all
-three conjugated if that content has more rows than columns, so the
-fillings use fewer letters.  A miss can be answered from a plain-text
+swap the two lower shapes, or conjugate all three.  _coefficient and
+the cache file are keyed by the least of the four keys, but a miss
+counts the fillings in the cheapest orientation: the lighter lower
+shape as the content, so the skew has the fewer cells, then all three
+conjugated if that content has more rows than columns, so the fillings
+use fewer letters.  A miss can be answered from a plain-text
 cache file named by the SCHUBERT_CACHE_DIR environment variable (a
 directory gets a lr-cache.txt inside it; anything else is taken as the
 file itself); products never read or write it.  Each line is
@@ -61,6 +64,7 @@ sharing the table across threads is safe; writers append whole lines
 only.
 """
 
+import functools
 import os
 from collections import Counter
 from typing import NamedTuple, Optional
@@ -88,12 +92,6 @@ class LRKey(NamedTuple):
     content: tuple
 
 
-_memo = {}  # canonical LRKey -> int
-# products: ((lam, nu) sorted, outer shape or None) -> {mu: coeff}
-# splits: (lam, boxes) -> {(alpha_1, ..., alpha_k): coeff}
-# diagonal centers: (side, reduce_map) -> ((nu0, oriented reduction), ...)
-# diagonal splits: (tgt, ctr, boxes) -> ((gamma_1, ..., gamma_k), ...) ordered
-_expand_memo = {}
 _loaded = None  # (path, {key text: value}) of the cache file last read
 
 
@@ -175,16 +173,20 @@ def lr_coefficient(outer, inner, content):
         return 0
     if sum(outer) != sum(inner) + sum(content):
         return 0
-    keys = _orientations(outer, inner, content)
-    key = min(keys)
-    if key in _memo:
-        return _memo[key]
+    return _coefficient(_canonical_key(outer, inner, content))
+
+
+@functools.cache
+def _coefficient(key):
+    # the coefficient of a canonical key whose lower shapes both lie
+    # inside its outer one, from the cache file or counted
     path, index = _sync_cache()
     text = _key_text(key) if path else None
     value = index.get(text)
     if value is None:
         # count in the cheapest orientation (see the module docstring)
-        k = 1 if sum(content) > sum(inner) else 0
+        keys = _orientations(*key)
+        k = 1 if sum(key.content) > sum(key.inner) else 0
         light = keys[k].content
         if light and len(light) > light[0]:
             k += 2
@@ -192,7 +194,6 @@ def lr_coefficient(outer, inner, content):
         value = sum(1 for _ in ballot_fillings(SkewShape(o, i), c))
         if path:
             _persist(path, text, value)
-    _memo[key] = value
     return value
 
 
@@ -215,13 +216,15 @@ def _skew_terms(s, caps):
 
 
 def _expand(lam, nu, outer):
+    # both orders of the factors share one memo entry
+    return _expand_pair(lam, nu, outer) if lam <= nu else _expand_pair(nu, lam, outer)
+
+
+@functools.cache
+def _expand_pair(lam, nu, outer):
     # {mu: coefficient} over the shapes inside outer (every shape when
-    # outer is None), in graded order; the memo's own dict, not a copy
-    key = (tuple(sorted((lam, nu))), outer)
-    result = _expand_memo.get(key)
-    if result is not None:
-        return result
-    bot, top = sorted(key[0], key=sum)  # the heavier shape's filling is forced
+    # outer is None), in graded order, with lam <= nu
+    bot, top = sorted((lam, nu), key=sum)  # the heavier shape's filling is forced
     n = sum(top) + sum(bot)
     terms = {}
     if outer is None or (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
@@ -230,8 +233,7 @@ def _expand(lam, nu, outer):
         s = SkewShape(tuple(t + b for t in top) + bot, (b,) * len(top))
         caps = (n,) * (len(top) + len(bot)) if outer is None else outer
         terms = _skew_terms(s, caps)
-    result = _expand_memo[key] = dict(sorted(terms.items(), key=lambda kv: sort_key(kv[0])))
-    return result
+    return dict(sorted(terms.items(), key=lambda kv: sort_key(kv[0])))
 
 
 def _split_rest(lam, alpha, boxes):
@@ -247,25 +249,19 @@ def _split_rest(lam, alpha, boxes):
     return out
 
 
+@functools.cache
 def _coproduct(lam, boxes):
     # {(alpha_1, ..., alpha_k): c^lam_{alpha_1...alpha_k}} with alpha_i
     # inside boxes[i], walked down from lam (see the module docstring),
-    # in the graded order of each alpha_i in turn; the memo's own dict,
-    # not a copy
-    key = (lam, boxes)
-    result = _expand_memo.get(key)
-    if result is None:
-        if not boxes:
-            result = {} if lam else {(): 1}
-        else:
-            (rows, cols), rest = boxes[0], boxes[1:]
-            terms = {}
-            for alpha in _shapes_under([min(cols, p) for p in lam[:rows]]):
-                for gammas, c in _split_rest(lam, alpha, rest).items():
-                    terms[(alpha,) + gammas] = c
-            result = dict(sorted(terms.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
-        _expand_memo[key] = result
-    return result
+    # in the graded order of each alpha_i in turn
+    if not boxes:
+        return {} if lam else {(): 1}
+    (rows, cols), rest = boxes[0], boxes[1:]
+    terms = {}
+    for alpha in _shapes_under([min(cols, p) for p in lam[:rows]]):
+        for gammas, c in _split_rest(lam, alpha, rest).items():
+            terms[(alpha,) + gammas] = c
+    return dict(sorted(terms.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
 
 
 def _product(factors, outer):
@@ -391,27 +387,19 @@ def _oriented(strict):
     return (("id", strict), ("conj", flip))
 
 
+@functools.cache
 def _centers(side, reduce_map):
     # ((nu0, oriented reduction of nu0), ...) over the symmetric shapes
-    # inside side x side, () alone for side 0 (memo key: see the module
-    # docstring)
-    key = (side, reduce_map)
-    result = _expand_memo.get(key)
-    if result is None:
-        shapes = enumerate_in_rectangle(side, side, symmetric_only=True) if side else [()]
-        result = _expand_memo[key] = tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
-    return result
+    # inside side x side, () alone for side 0
+    shapes = enumerate_in_rectangle(side, side, symmetric_only=True) if side else [()]
+    return tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
 
 
+@functools.cache
 def _ordered_splits(tgt, ctr, boxes):
     # the splits of tgt/ctr over the boxes, in the graded order of each
     # block shape in turn, as a tuple that no caller can change
-    key = (tgt, ctr, boxes)
-    result = _expand_memo.get(key)
-    if result is None:
-        splits = sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g)))
-        result = _expand_memo[key] = tuple(splits)
-    return result
+    return tuple(sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))))
 
 
 def diagonal_splits(base, center_side, boxes, reduce_map):
@@ -424,8 +412,9 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
     center_side 0 there is no center factor, and the center and its
     orientation are None.  The centers of each (center_side,
     reduce_map) and the ordered splits of each (target, center, boxes)
-    are memoized in _expand_memo, so a repeated search runs no ballot
-    search; the witnesses come out in the same order either way."""
+    each have their own functools.cache table (_centers and
+    _ordered_splits), so a repeated search runs no ballot search; the
+    witnesses come out in the same order either way."""
     boxes = tuple(map(tuple, boxes))
     for t_label, tgt in _oriented(base):
         for nu0, oriented in _centers(center_side, reduce_map):

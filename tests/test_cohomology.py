@@ -28,6 +28,8 @@ from schubcalc.cohomology import (
     schubert_class,
     tensor_class,
     unit,
+    _normalize_terms,
+    _require_square,
 )
 from schubcalc.errors import (
     AmbientMismatch,
@@ -43,10 +45,13 @@ from schubcalc.partition import (
     conjugate,
     contains,
     enumerate_in_rectangle,
+    from_plus_part,
+    is_strict,
     is_symmetric,
     minus_part,
     plus_part,
     rect,
+    sort_key,
     staircase,
     weight,
 )
@@ -420,6 +425,64 @@ def test_orthogonal_round_trip():
             assert got.terms == ({label: 1} if label else {(): 1})
     # too-wide strict shapes have no symmetric preimage inside p x p
     assert restrict_to_orthogonal(schubert_class(amb, (p,))).terms == {}
+
+
+def _restrict_to_lagrangian_loop(x):
+    # restrict_to_lagrangian before the two flavors shared one loop,
+    # kept as an oracle
+    p = _require_square(x.ambient)
+    out = {}
+    for lam, c in x.terms.items():
+        if is_strict(lam):
+            key = from_plus_part(lam) if lam else ()
+        elif is_strict(conjugate(lam)):
+            key = from_plus_part(conjugate(lam))
+        else:
+            continue
+        out[key] = out.get(key, 0) + c
+    return IsotropicClass(p, "lagrangian", _normalize_terms(out, lambda kv: sort_key(kv[0])))
+
+
+def _restrict_to_orthogonal_loop(x):
+    # restrict_to_orthogonal before the two flavors shared one loop,
+    # kept as an oracle
+    p = _require_square(x.ambient)
+
+    def qualifies(lam):
+        return is_strict(lam) and (not lam or lam[0] <= p - 1)
+
+    out = {}
+    for lam, c in x.terms.items():
+        if qualifies(lam):
+            key = lam
+        elif qualifies(conjugate(lam)):
+            key = conjugate(lam)
+        else:
+            continue
+        out[key] = out.get(key, 0) + c
+    return IsotropicClass(p, "orthogonal", _normalize_terms(out, lambda kv: sort_key(kv[0])))
+
+
+def test_isotropic_restrictions_match_loop_oracles():
+    # every class of every p x p window with p <= 5, plus per window two
+    # classes of every shape, so a shape and its transpose sum into one
+    # key (with signs, some to 0), and one with a zero coefficient
+    checked = 0
+    for p in range(1, 6):
+        shapes = enumerate_in_rectangle(p, p)
+        classes = [schubert_class((p, p), lam) for lam in shapes]
+        classes.append(cohom_class((p, p), {lam: 1 for lam in shapes}))
+        classes.append(cohom_class((p, p), {lam: (-1) ** i * (1 + i % 3) for i, lam in enumerate(shapes)}))
+        classes.append(CohomClass((p, p), {(1,): 0}))
+        for x in classes:
+            for got, want in (
+                (restrict_to_lagrangian(x), _restrict_to_lagrangian_loop(x)),
+                (restrict_to_orthogonal(x), _restrict_to_orthogonal_loop(x)),
+            ):
+                assert got == want, x
+                assert list(got.terms.items()) == list(want.terms.items()), x
+            checked += 1
+    assert checked == sum(math.comb(2 * p, p) + 3 for p in range(1, 6))
 
 
 def test_dual_classes_for_square_flavors():

@@ -56,6 +56,24 @@ from schubcalc.tableau import ballot_fillings
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
 
+# every memoized helper of lr, each with its own functools.cache table
+MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod._centers, lr_mod._ordered_splits)
+
+
+def _clear_memo():
+    for helper in MEMOIZED:
+        helper.cache_clear()
+
+
+@pytest.fixture
+def cold_memo():
+    # every memo table empty before the test and again after it, since
+    # cache_clear() cannot restore what the test found; call the fixture
+    # to empty them once more inside the test
+    _clear_memo()
+    yield _clear_memo
+    _clear_memo()
+
 
 @functools.lru_cache(maxsize=None)
 def partitions_by_weight(rows, cols):
@@ -177,10 +195,9 @@ def test_canonical_key_matches_reference_4x4():
     assert checked == 8084
 
 
-def test_cache_lines_from_older_versions_still_match(tmp_path, monkeypatch):
+def test_cache_lines_from_older_versions_still_match(tmp_path, monkeypatch, cold_memo):
     # lines as earlier versions wrote them, with made-up values so that
     # only a key match can return them
-    monkeypatch.setattr(lr_mod, "_memo", {})
     monkeypatch.setattr(lr_mod, "_loaded", None)
     target = tmp_path / "lr-cache.txt"
     target.write_text(
@@ -249,10 +266,10 @@ BIG_LR = (
 
 
 @pytest.mark.parametrize("outer, inner, content, value", BIG_LR)
-def test_big_coefficients_frozen(outer, inner, content, value, monkeypatch):
+def test_big_coefficients_frozen(outer, inner, content, value, monkeypatch, cold_memo):
     monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
     for args in ((outer, inner, content), (outer, content, inner)):
-        monkeypatch.setattr(lr_mod, "_memo", {})
+        cold_memo()
         assert lr_coefficient(*args) == value
     # the orientation the call names, counted without the orientation choice
     assert _count(outer, inner, content) == value
@@ -419,8 +436,7 @@ def test_list_and_tuple_boxes_expand_alike():
     assert expand_product([(2, 1), (1,), (1,)], [2, 3]) == expand_product([(2, 1), (1,), (1,)], (2, 3))
 
 
-def test_bounded_and_full_expansions_are_memoized_apart(monkeypatch):
-    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+def test_bounded_and_full_expansions_are_memoized_apart(cold_memo):
     full = {(4, 2): 1, (4, 1, 1): 1, (3, 3): 1, (3, 2, 1): 2, (3, 1, 1, 1): 1, (2, 2, 2): 1, (2, 2, 1, 1): 1}
     inside = {(3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1}
     assert schur_expand((2, 1), (2, 1), (3, 3)) == inside
@@ -911,6 +927,64 @@ def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
     assert calls == []
 
 
+def _memo_counts():
+    return {h.__name__: (h.cache_info().hits, h.cache_info().misses) for h in MEMOIZED}
+
+
+def _counts(**nonzero):
+    # (hits, misses) of every table, (0, 0) unless named
+    return {h.__name__: nonzero.get(h.__name__[1:], (0, 0)) for h in MEMOIZED}
+
+
+_LEVI_CASE = (schubert_class((4, 4), (3, 2, 1)), LeviShape(((2, 2), (2, 2))))
+
+
+@pytest.mark.parametrize(
+    "cold_call, warm_call, cold, warm",
+    [
+        # the warm product names its factors in the other order
+        (
+            lambda: schur_expand((2, 1), (1,)),
+            lambda: schur_expand((1,), (2, 1)),
+            _counts(expand_pair=(0, 1)),
+            _counts(expand_pair=(1, 1)),
+        ),
+        (
+            lambda: restrict_levi(*_LEVI_CASE),
+            lambda: restrict_levi(*_LEVI_CASE),
+            _counts(coproduct=(4, 6)),
+            _counts(coproduct=(5, 6)),
+        ),
+        (
+            lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
+            lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
+            _counts(coproduct=(3, 6), centers=(0, 1), ordered_splits=(0, 2)),
+            _counts(coproduct=(3, 6), centers=(1, 1), ordered_splits=(2, 2)),
+        ),
+        (
+            lambda: lr_coefficient((3, 2, 1), (2, 1), (2, 1)),
+            lambda: lr_coefficient((3, 2, 1), (2, 1), (2, 1)),
+            _counts(coefficient=(0, 1)),
+            _counts(coefficient=(1, 1)),
+        ),
+    ],
+    ids=["schur_expand", "restrict_levi", "diagonal_splits", "lr_coefficient"],
+)
+def test_memo_tables_count_hits_and_misses(cold_call, warm_call, cold, warm, monkeypatch, cold_memo):
+    # MEMOIZED names every functools.cache table of lr
+    assert {f for f in vars(lr_mod).values() if hasattr(f, "cache_info")} == set(MEMOIZED)
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+    for _ in range(2):
+        cold_memo()
+        first = cold_call()
+        assert _memo_counts() == cold
+        assert warm_call() == first
+        assert _memo_counts() == warm
+    for name, (hits, misses) in warm.items():
+        assert misses == cold[name][1] and hits >= cold[name][0]
+    assert sum(h for h, _ in warm.values()) > sum(h for h, _ in cold.values())
+
+
 def _restrict_levi_sorting(x, levi):
     # The Levi restriction before _coproduct kept its terms in graded
     # order, kept as an oracle: every class's terms summed, then sorted.
@@ -923,7 +997,7 @@ def _restrict_levi_sorting(x, levi):
     return list(sorted(clean.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
 
 
-def test_restrict_levi_matches_sorting_oracle_5x5(monkeypatch, fresh_cache):
+def test_restrict_levi_matches_sorting_oracle_5x5(fresh_cache, cold_memo):
     # every class of the 5x5 box, and per Levi one class of many terms
     # and one term with coefficient 0, restricted to every Levi of one to
     # three blocks, terms in order
@@ -937,12 +1011,12 @@ def test_restrict_levi_matches_sorting_oracle_5x5(monkeypatch, fresh_cache):
     assert len(cases) == 225 * 254
     for x, levi in cases:
         # a cold memo for this case alone, then the same call warm
-        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        cold_memo()
         got = restrict_levi(x, levi)
         assert list(restrict_levi(x, levi).terms.items()) == list(got.terms.items())
         assert list(got.terms.items()) == _restrict_levi_sorting(x, levi), (x, levi)
     # one memo for every case, then warm
-    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    cold_memo()
     for _ in range(2):
         for x, levi in cases:
             assert list(restrict_levi(x, levi).terms.items()) == _restrict_levi_sorting(x, levi), (x, levi)
@@ -1079,7 +1153,7 @@ def _diagonal_cases(most):
     return cases
 
 
-def test_diagonal_splits_match_unmemoized_oracle(monkeypatch, fresh_cache):
+def test_diagonal_splits_match_unmemoized_oracle(fresh_cache, cold_memo):
     # plus the one target/center of the p <= 6 windows, (2, 1) over (1),
     # whose expansion does not come out in graded order
     cases = _diagonal_cases(4) + [((2, 1), 1, ((1, 1), (2, 1)), plus_part)]
@@ -1087,20 +1161,20 @@ def test_diagonal_splits_match_unmemoized_oracle(monkeypatch, fresh_cache):
     assert any(len(w) > 1 for w in want)
     for case, w in zip(cases, want):
         # a cold memo for this case alone, then the same call warm
-        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        cold_memo()
         assert list(diagonal_splits(*case)) == w, case
         assert list(diagonal_splits(*case)) == w, case
     # one memo for every case, as fresh_cache leaves it, then warm
-    monkeypatch.setattr(lr_mod, "_expand_memo", {})
+    cold_memo()
     assert [list(diagonal_splits(*case)) for case in cases] == want
     assert [list(diagonal_splits(*case)) for case in cases] == want
 
 
-def test_interleaved_diagonal_searches_agree(monkeypatch, fresh_cache):
+def test_interleaved_diagonal_searches_agree(fresh_cache, cold_memo):
     # two generators on one key, stepped in turn from a cold memo: the
     # first fills the memo entries the second then reads
     for case in _diagonal_cases(4):
-        monkeypatch.setattr(lr_mod, "_expand_memo", {})
+        cold_memo()
         pairs = list(itertools.zip_longest(diagonal_splits(*case), diagonal_splits(*case)))
         got_first, got_second = [a for a, _ in pairs], [b for _, b in pairs]
         assert got_first == got_second == list(_diagonal_splits_unmemoized(*case)), case
@@ -1149,10 +1223,8 @@ def _eager_table(path):
 
 
 @pytest.fixture
-def fresh_cache(monkeypatch):
+def fresh_cache(monkeypatch, cold_memo):
     # an empty memo and no cache file read yet
-    monkeypatch.setattr(lr_mod, "_memo", {})
-    monkeypatch.setattr(lr_mod, "_expand_memo", {})
     monkeypatch.setattr(lr_mod, "_loaded", None)
 
 
@@ -1192,7 +1264,7 @@ def test_cache_env_can_name_a_file(tmp_path, monkeypatch, fresh_cache):
     assert v == lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))
 
 
-def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache):
+def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache, cold_memo):
     target = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     for lam in SHAPES_3x3:
@@ -1222,7 +1294,7 @@ def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache):
     assert table[two_values] == 111
     assert table[no_newline] == 333
     before = target.read_bytes()
-    monkeypatch.setattr(lr_mod, "_memo", {})
+    cold_memo()
     monkeypatch.setattr(lr_mod, "_loaded", None)
     checked = 0
     for key, value in table.items():
@@ -1234,7 +1306,7 @@ def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache):
     assert target.read_bytes() == before
 
 
-def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache):
+def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache, cold_memo):
     # the one change from the eager loader: a line the program would not
     # have written is not trusted, and the count is appended instead
     args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
@@ -1247,7 +1319,7 @@ def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache):
         target = tmp_path / ("cache-%d.txt" % len(line))
         target.write_text(line + "\n")
         assert _eager_table(target) == {key: 7777}
-        monkeypatch.setattr(lr_mod, "_memo", {})
+        cold_memo()
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
         assert lr_coefficient(*args) == true_value != 7777
         assert target.read_text().splitlines() == [
@@ -1256,7 +1328,7 @@ def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache):
         ]
 
 
-def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache):
+def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache, cold_memo):
     # int() takes a sign and underscores, which the program never writes:
     # such a value is not trusted, and the count is appended instead
     cases = [
@@ -1271,7 +1343,7 @@ def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache):
     lines = ["%s %s" % (text, bad) for text, (_, bad) in zip(texts, cases)]
     target = tmp_path / "lr-cache.txt"
     target.write_text("\n".join(lines) + "\n")
-    monkeypatch.setattr(lr_mod, "_memo", {})
+    cold_memo()
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     assert [lr_coefficient(*args) for args, _ in cases] == true_values == [1, 1, 2]
     assert target.read_text().splitlines() == lines + [
@@ -1279,7 +1351,7 @@ def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache):
     ]
 
 
-def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache):
+def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache, cold_memo):
     args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
     key = lr_mod._canonical_key(*args)
     old = tmp_path / "old.txt"
@@ -1287,7 +1359,7 @@ def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache):
 
     def load_old():
         # read the old file's index through a miss on another key
-        monkeypatch.setattr(lr_mod, "_memo", {})
+        cold_memo()
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(old))
         assert lr_coefficient((2,), (1,), (1,)) == 1
         assert lr_mod._loaded[0] == str(old)
