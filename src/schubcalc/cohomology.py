@@ -38,7 +38,10 @@ def _normalize_terms(terms, sortfn):
 
 
 # bound once: looking up object.__setattr__ for every field made a
-# CompatiblePair 10-20% slower to build
+# CompatiblePair 10-20% slower to build.  A class built in bulk can go
+# further and bind each slot's member descriptor setter once after its
+# class statement, vars(cls)[name].__set__, as shimura.CompatiblePair
+# does; that skips the name lookup of object.__setattr__ altogether.
 _set_field = object.__setattr__
 
 
@@ -46,7 +49,8 @@ class _Record:
     """Immutable value with named fields, equal by class and fields.
 
     A subclass lists its fields in __slots__ and sets each one in its
-    own __init__ through _set_field, past the blocked __setattr__."""
+    own __init__ through _set_field (or its slots' own setters), past
+    the blocked __setattr__."""
 
     __slots__ = ()
 

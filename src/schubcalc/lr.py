@@ -58,7 +58,9 @@ to value, without parsing any shape: a line is matched by its exact
 canonical text, the first line whose value is a run of ASCII digits
 wins, and any other line, such as one with a signed value or a
 non-canonical key, is ignored, so its coefficient is recomputed and
-appended in canonical form.  Appends use O_APPEND and stay atomic only
+appended in canonical form.  _coefficient is memoized by key and path,
+so a value read from one file stops answering once SCHUBERT_CACHE_DIR
+names another file or none.  Appends use O_APPEND and stay atomic only
 for lines shorter than PIPE_BUF.  Reads are plain dict lookups, so
 sharing the table across threads is safe; writers append whole lines
 only.
@@ -128,14 +130,13 @@ def _read_index(path):
     return index
 
 
-def _sync_cache():
+def _sync_cache(path):
     # the path and index travel together, so that an index is only ever
     # consulted for the file it was read from
     global _loaded
-    path = _cache_path()
     if _loaded is None or _loaded[0] != path:
         _loaded = (path, _read_index(path) if path else {})
-    return _loaded
+    return _loaded[1]
 
 
 def _persist(path, text, value):
@@ -173,14 +174,16 @@ def lr_coefficient(outer, inner, content):
         return 0
     if sum(outer) != sum(inner) + sum(content):
         return 0
-    return _coefficient(_canonical_key(outer, inner, content))
+    return _coefficient(_canonical_key(outer, inner, content), _cache_path())
 
 
 @functools.cache
-def _coefficient(key):
+def _coefficient(key, path):
     # the coefficient of a canonical key whose lower shapes both lie
-    # inside its outer one, from the cache file or counted
-    path, index = _sync_cache()
+    # inside its outer one, from the cache file at path or counted; the
+    # memo is keyed by the path too, so a value read from one file never
+    # answers once SCHUBERT_CACHE_DIR names another or is unset
+    index = _sync_cache(path)
     text = _key_text(key) if path else None
     value = index.get(text)
     if value is None:

@@ -52,15 +52,21 @@ class CompatiblePair(_Record):
     __slots__ = ("lam", "mu", "ambient", "flavor", "chain")
 
     def __init__(self, lam, mu, ambient, flavor, chain):
-        _set_field(self, "lam", lam)
-        _set_field(self, "mu", mu)
-        _set_field(self, "ambient", ambient)
-        _set_field(self, "flavor", flavor)
-        _set_field(self, "chain", chain)
+        _set_lam(self, lam)
+        _set_mu(self, mu)
+        _set_ambient(self, ambient)
+        _set_flavor(self, flavor)
+        _set_chain(self, chain)
 
     @property
     def skew(self):
         return SkewShape(self.mu, self.lam)
+
+
+# each slot's own setter, bound once: pairs are built by the ten thousand
+_set_lam, _set_mu, _set_ambient, _set_flavor, _set_chain = (
+    vars(CompatiblePair)[field].__set__ for field in CompatiblePair.__slots__
+)
 
 
 def _check_flavor(ambient, flavor):
@@ -88,69 +94,86 @@ def make_pair(lam, mu, ambient, flavor="unitary"):
     return CompatiblePair(lam, mu, ambient, flavor, tuple(chain))
 
 
-def _chains_below(mu):
-    """Every (lam, chain) with mu/lam a corner-linked rectangle chain.
+def _chains_below(mu, least, most):
+    """Every (area, lam, chain) with mu/lam a corner-linked rectangle
+    chain of area in least..most.
 
     A rectangle starting at row t runs down to the last row b of mu's
     block of parts equal to mu_t, since a row of that block left out
     would need a rectangle with the same right edge.  Its inner edge lo
     is at least mu_{b+1}, and the chain can go on below b only from the
     corner where lo == mu_{b+1} > 0; otherwise the rows below b are full.
+    The area only grows down a chain, so one too large is not walked on.
     """
     parts = mu + (0,)
-    out = [(mu, ())]
+    out = [(0, mu, ())] if least <= 0 <= most else []
 
-    def walk(t, above, chain):
+    def walk(t, above, chain, area):
         b = t
         while parts[b + 1] == parts[t]:
             b += 1
         rows, below = b - t + 1, parts[b + 1]
         for lo in range(below, parts[t]):
+            size = area + rows * (parts[t] - lo)
+            if size > most:
+                continue  # not break: the area falls as lo rises
             inner = above + (lo,) * rows if lo else above
             step = chain + ((rows, parts[t] - lo),)
-            out.append((inner + mu[b + 1 :], step))
+            if size >= least:
+                out.append((size, inner + mu[b + 1 :], step))
             if lo == below > 0:
-                walk(b + 1, inner, step)
+                walk(b + 1, inner, step, size)
 
     for t in range(len(mu)):
-        walk(t, mu[:t], ())
+        walk(t, mu[:t], (), 0)
     return out
 
 
-def enumerate_pairs(ambient, flavor="unitary", bidegree=None):
-    """All compatible pairs in the window, graded on mu then lam.
+def iter_pairs(ambient, flavor="unitary", bidegree=None):
+    """All compatible pairs in the window, graded on mu then lam, built
+    as they are read; the arguments are checked up front.
 
     Each mu of the window (symmetric ones only for the square flavors)
-    gets its inner shapes by walking the rectangle chains down from the
-    top right: a rectangle spans a whole block of mu's equal parts below
-    its first row, and the chain goes on into the next block only from
-    the corner where the rectangle's inner edge meets that block.  The
-    walk builds each lam with its chain, so nothing is tested and
-    rejected; the lam of one mu are then put in graded order.
+    gets its lam, with their chains and areas, from _chains_below, so
+    nothing is tested and rejected; a unitary bidegree (i, j) builds
+    only the chains of area |mu| - i.  The lam of one mu are put in graded
+    order by sorting on the chain area.
     """
     ambient = tuple(ambient)
     _check_flavor(ambient, flavor)
-    square = flavor != "unitary"
     if bidegree is not None:
         bidegree = tuple(bidegree)
         if len(bidegree) != 2:
             raise ValueError("bidegree must be a pair, got %r" % (bidegree,))
+    return _walk(ambient, flavor, bidegree, 0)
+
+
+def _walk(ambient, flavor, bidegree, least):
+    # iter_pairs, less the pairs whose chain area is below least
+    square = flavor != "unitary"
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
-    # Positions in the graded list order each mu's lam, let all pairs
-    # share one tuple per shape, and leave out the non-symmetric lam of
-    # the square flavors.
-    rank = {shape: i for i, shape in enumerate(shapes)}
-    out = []
+    # the window's own tuple for each lam; None for a square flavor's non-symmetric lam
+    shared = {shape: shape for shape in shapes}
     for mu in shapes:
-        if bidegree is not None and _degree(complement(mu, *ambient), flavor) != bidegree[1]:
-            continue
-        found = sorted((rank[lam], chain) for lam, chain in _chains_below(mu) if lam in rank)
-        for i, chain in found:
-            lam = shapes[i]
-            if bidegree is not None and _degree(lam, flavor) != bidegree[0]:
+        low, high = least, sum(mu)
+        if bidegree is not None:
+            if _degree(complement(mu, *ambient), flavor) != bidegree[1]:
                 continue
-            out.append(CompatiblePair(lam, mu, ambient, flavor, chain))
-    return out
+            if not square:
+                low = high = high - bidegree[0]
+        if low > high:
+            continue
+        # |lam| = |mu| - area; equal-weight lam are never prefixes: sort_key order
+        for _, lam, chain in sorted(_chains_below(mu, low, high), reverse=True):
+            lam = shared.get(lam)
+            if lam is None or bidegree is not None and _degree(lam, flavor) != bidegree[0]:
+                continue
+            yield CompatiblePair(lam, mu, ambient, flavor, chain)
+
+
+def enumerate_pairs(ambient, flavor="unitary", bidegree=None):
+    """The list of iter_pairs(ambient, flavor, bidegree)."""
+    return list(iter_pairs(ambient, flavor, bidegree))
 
 
 def mu_hat(pair):
@@ -229,9 +252,7 @@ def fat_hook(ambient, r, s):
 def fat_hook_labels(ambient):
     """Canonical (r, s) labels, one per distinct fat hook."""
     p, q = ambient
-    out = [(r, s) for r in range(p) for s in range(q)]
-    out.append((p, 0))
-    return out
+    return [(r, s) for r in range(p) for s in range(q)] + [(p, 0)]
 
 
 def injectivity_holomorphic_u(ambient, r, s, levi):
@@ -242,13 +263,9 @@ def injectivity_holomorphic_u(ambient, r, s, levi):
     check_levi_unitary(ambient, levi)
     if not levi.rects:
         return False
-    rows = [a for a, _ in levi.rects]
-    cols = [b for _, b in levi.rects]
-    if sum(rows) == p and r == 0 and s <= min(cols):
-        return True
-    if sum(cols) == q and s == 0 and r <= min(rows):
-        return True
-    return False
+    rows, cols = zip(*levi.rects)
+    full_p = sum(rows) == p and r == 0 and s <= min(cols)
+    return full_p or (sum(cols) == q and s == 0 and r <= min(rows))
 
 
 def gsp_stable_criterion(lam, mu, p):
@@ -320,17 +337,13 @@ def vanishing_criterion(pair, a, side):
     p, q = pair.ambient
     if not pair.lam and pair.mu == rect(p, q):
         raise TrivialPairExcluded("the full-window pair is out of scope")
-    degree = sum(vz_bidegree(pair))
-    if side == "Q":
-        return (
-            sum(b for _, b in pair.chain) == q
-            and all(x >= a for x, _ in pair.chain)
-            and degree < p * q - a * q
-        )
+    # the chain fills side Q with its widths (P with its heights) and
+    # each of its blocks is at least a long the other way
+    k, n = (1, q) if side == "Q" else (0, p)
     return (
-        sum(x for x, _ in pair.chain) == p
-        and all(b >= a for _, b in pair.chain)
-        and degree < p * q - a * p
+        sum(r[k] for r in pair.chain) == n
+        and all(r[1 - k] >= a for r in pair.chain)
+        and sum(vz_bidegree(pair)) < p * q - a * n
     )
 
 
@@ -364,7 +377,9 @@ def arthur_cover(ambient, max_degree):
     """Pairs of degree at most max_degree with a subgroup suggestion
     whose own criterion confirms injectivity.
 
-    Only defined below the window's low-degree bound.
+    Only defined below the window's low-degree bound.  A unitary pair's
+    degree is pq minus its chain's area, so only the pairs of area at
+    least pq - max_degree, the ones kept, are built.
     """
     p, q = ambient
     if max_degree >= low_degree_bound(ambient):
@@ -372,18 +387,12 @@ def arthur_cover(ambient, max_degree):
             "max degree %d not below bound %d" % (max_degree, low_degree_bound(ambient))
         )
     out = []
-    for pair in enumerate_pairs(ambient):
-        if sum(vz_bidegree(pair)) > max_degree:
-            continue
+    for pair in _walk((p, q), "unitary", None, p * q - max_degree):
         label = low_degree_structure(pair)
-        if label == "FullP":
-            suggestion = ("U", p, q - 1)
-            levi = LeviShape(((p, q - 1),) if p and q > 1 else (), None)
-            ok, _ = injectivity_unitary(pair, levi)
-        elif label == "FullQ":
-            suggestion = ("U", p - 1, q)
-            levi = LeviShape(((p - 1, q),) if q and p > 1 else (), None)
-            ok, _ = injectivity_unitary(pair, levi)
+        if label in ("FullP", "FullQ"):
+            a, b = (p, q - 1) if label == "FullP" else (p - 1, q)
+            suggestion = ("U", a, b)
+            ok, _ = injectivity_unitary(pair, LeviShape(((a, b),) if a > 0 and b > 0 else (), None))
         else:
             suggestion = ("GSp", p)
             ok = gsp_stable_criterion(pair.lam, pair.mu, p)
@@ -405,12 +414,7 @@ def partha_decomposition(ambient, degree):
         raise ValueError("degree %d outside 0..%d" % (degree, p * q))
     if degree == p * q:
         return [(0, 0)]
-    return [
-        (a, b)
-        for a in range(1, p + 1)
-        for b in range(1, q + 1)
-        if p * q - a * b == degree
-    ]
+    return [(a, b) for a in range(1, p + 1) for b in range(1, q + 1) if p * q - a * b == degree]
 
 
 class VZComponent(_Record):
@@ -487,8 +491,4 @@ def ostar_identifications(p):
     groups = {}
     for comp in ostar_holomorphic_components(p):
         groups.setdefault(comp.label, []).append((comp.family, comp.param))
-    return [
-        {"label": label, "members": members}
-        for label, members in sorted(groups.items(), key=lambda kv: kv[0])
-        if len(members) > 1
-    ]
+    return [{"label": k, "members": m} for k, m in sorted(groups.items()) if len(m) > 1]

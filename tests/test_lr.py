@@ -1382,3 +1382,24 @@ def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache, c
     monkeypatch.setattr(lr_mod, "_loaded", None)
     assert lr_coefficient(*args) == true_value
     assert old.read_text() == before
+
+
+def test_value_read_from_a_cache_file_answers_only_while_it_is_named(tmp_path, monkeypatch, fresh_cache):
+    # the memo is keyed by the file as well as the coefficient: a value
+    # read from one file must not keep answering once the variable names
+    # another file or none
+    args = (2, 1), (1,), (1, 1)
+    seeded = tmp_path / "seeded.txt"
+    seeded.write_text("2,1;1;1,1 9999\n")
+    assert lr_mod._key_text(lr_mod._canonical_key(*args)) == "2,1;1;1,1"
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(seeded))
+    assert lr_coefficient(*args) == 9999
+    assert lr_coefficient(*args) == 9999
+    fresh = tmp_path / "fresh.txt"
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(fresh))
+    assert lr_coefficient(*args) == 1
+    assert fresh.read_text() == "2,1;1;1,1 1\n"
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR")
+    assert lr_coefficient(*args) == 1
+    monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(seeded))
+    assert lr_coefficient(*args) == 9999

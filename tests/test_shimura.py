@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import schubcalc
+from schubcalc import shimura
 from schubcalc.cohomology import LeviShape
 from schubcalc.errors import (
     AmbientNotSquare,
@@ -44,6 +45,7 @@ from schubcalc.shimura import (
     injectivity_gsp,
     injectivity_holomorphic_u,
     injectivity_unitary,
+    iter_pairs,
     kunneth_vanishing,
     levi_shape,
     low_degree_bound,
@@ -174,6 +176,21 @@ def _generate_and_reject(ambient, flavor="unitary"):
     return out
 
 
+def _walk_and_rank(ambient, flavor="unitary"):
+    # The ordering iter_pairs replaced: walk the chains below each mu,
+    # then sort its lam by their positions in the graded list of window
+    # shapes, which also leaves out the non-symmetric lam of the square
+    # flavors and gives every pair the window's one tuple per shape.
+    shapes = enumerate_in_rectangle(*ambient, symmetric_only=flavor != "unitary")
+    rank = {shape: i for i, shape in enumerate(shapes)}
+    out = []
+    for mu in shapes:
+        walked = shimura._chains_below(mu, 0, weight(mu))
+        found = sorted((rank[lam], chain) for _, lam, chain in walked if lam in rank)
+        out += [CompatiblePair(shapes[i], mu, ambient, flavor, chain) for i, chain in found]
+    return out
+
+
 def _windows(limit):
     for p in range(limit + 1):
         for q in range(limit + 1):
@@ -202,6 +219,36 @@ def test_enumerate_pairs_bidegree_filter_matches_generate_and_reject():
                 for j in range(size + 2 - i):
                     want = by_bidegree.get((i, j), [])
                     assert enumerate_pairs(ambient, flavor, (i, j)) == want, (ambient, flavor, i, j)
+
+
+def test_streamed_pairs_match_walk_and_rank():
+    for ambient, flavor in _windows(6):
+        want = _walk_and_rank(ambient, flavor)
+        assert enumerate_pairs(ambient, flavor) == want, (ambient, flavor)
+        assert list(iter_pairs(ambient, flavor)) == want, (ambient, flavor)
+
+
+def test_pairs_share_one_tuple_per_lam():
+    # the peak memory of a pass rests on this: a lam reached under many
+    # mu is one tuple, not one copy per pair
+    for ambient, flavor in (((6, 6), "unitary"), ((6, 6), "symplectic"), ((5, 5), "orthogonal")):
+        pairs = enumerate_pairs(ambient, flavor)
+        first = {}
+        for pair in pairs:
+            assert first.setdefault(pair.lam, pair.lam) is pair.lam
+            assert first.setdefault(pair.mu, pair.mu) is pair.mu
+        assert len(first) < len(pairs)
+
+
+def test_iter_pairs_is_a_stream_checked_up_front():
+    stream = iter_pairs((3, 3), "symplectic")
+    assert iter(stream) is stream
+    assert next(stream) == enumerate_pairs((3, 3), "symplectic")[0]
+    # bad arguments raise on the call, before anything is read
+    with pytest.raises(AmbientNotSquare):
+        iter_pairs((2, 3), flavor="orthogonal")
+    with pytest.raises(ValueError):
+        iter_pairs((2, 2), bidegree=(1, 2, 3))
 
 
 # SHA-256 of repr([(lam, mu, chain), ...]) for the 6x6 unitary window, as
@@ -339,6 +386,32 @@ def test_holomorphic_closed_form_frozen():
     assert not injectivity_holomorphic_u(amb, 0, 0, LeviShape((), None))
 
 
+def test_holomorphic_closed_form_matches_branch_oracle():
+    # the closed form as first written, one branch per full side
+    def branches(ambient, r, s, levi):
+        p, q = ambient
+        if not levi.rects:
+            return False
+        rows = [a for a, _ in levi.rects]
+        cols = [b for _, b in levi.rects]
+        if sum(rows) == p and r == 0 and s <= min(cols):
+            return True
+        return sum(cols) == q and s == 0 and r <= min(rows)
+
+    for p in range(1, 4):
+        for q in range(1, 4):
+            rects = [(a, b) for a in range(1, p + 1) for b in range(1, q + 1)]
+            levis = [()] + [(x,) for x in rects] + [(x, y) for x in rects for y in rects]
+            for blocks in levis:
+                if sum(a for a, _ in blocks) > p or sum(b for _, b in blocks) > q:
+                    continue
+                levi = LeviShape(blocks, None)
+                for r in range(p + 1):
+                    for s in range(q + 1):
+                        want = branches((p, q), r, s, levi)
+                        assert injectivity_holomorphic_u((p, q), r, s, levi) is want
+
+
 def test_holomorphic_closed_form_matches_pipeline_2x2():
     # proper levis and nonempty fat hooks only; the excluded corners are
     # pinned in the acceptance suite
@@ -421,6 +494,32 @@ def test_vanishing_criterion():
         vanishing_criterion(narrow, 1, "X")
 
 
+def _vanishing_per_side(pair, a, side):
+    # the criterion as written one side at a time, kept as an oracle
+    p, q = pair.ambient
+    degree = sum(vz_bidegree(pair))
+    if side == "Q":
+        fills = sum(b for _, b in pair.chain) == q and all(x >= a for x, _ in pair.chain)
+        return fills and degree < p * q - a * q
+    fills = sum(x for x, _ in pair.chain) == p and all(b >= a for _, b in pair.chain)
+    return fills and degree < p * q - a * p
+
+
+def test_vanishing_criterion_matches_per_side_oracle():
+    seen = set()
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for pair in enumerate_pairs((p, q)):
+                if not pair.lam and pair.mu == rect(p, q):
+                    continue
+                for a in range(1, 5):
+                    for side in "PQ":
+                        want = _vanishing_per_side(pair, a, side)
+                        assert vanishing_criterion(pair, a, side) is want, (pair, a, side)
+                        seen.add((side, want))
+    assert len(seen) == 4
+
+
 def test_low_degree_structure_frozen():
     stair = make_pair((3, 1, 1), (3, 3, 3), (3, 3))
     assert low_degree_structure(stair) == "SquareStaircase"
@@ -452,8 +551,8 @@ def test_arthur_cover_keeps_pairs_by_vz_degree():
     # vz_bidegree reads a unitary pair's degrees off the two weights; they
     # must be the weights of lam and of the complement of mu, and the
     # pairs arthur_cover keeps those whose degrees sum within range
-    for p in range(6):
-        for q in range(6):
+    for p in range(7):
+        for q in range(7):
             pairs = enumerate_pairs((p, q))
             assert [vz_bidegree(pair) for pair in pairs] == [
                 (weight(pair.lam), weight(mu_hat(pair))) for pair in pairs
@@ -463,6 +562,20 @@ def test_arthur_cover_keeps_pairs_by_vz_degree():
             for max_degree in range(top + 1):
                 kept = [pair for pair, _, _ in arthur_cover((p, q), max_degree)]
                 assert kept == [pair for pair, d in zip(pairs, degrees) if d <= max_degree]
+
+
+def test_arthur_cover_builds_only_the_pairs_it_keeps(monkeypatch):
+    built = []
+    init = CompatiblePair.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CompatiblePair, "__init__", counting)
+    rows = arthur_cover((6, 6), 15)
+    assert len(rows) == 31
+    assert len(built) == len(rows)
 
 
 _OPTIMIZED_CHECKS = {
