@@ -5,14 +5,16 @@ exit 1 with {"error": code}, among them InputTooLarge for an input too
 deep for Python's recursion limit; malformed invocations exit 2 and
 write the complaint to stderr.  --pretty sketches the shapes involved on
 stderr, leaving stdout machine-readable.  Each call builds the parsers
-of the command it names only, not those of every other subcommand.
+of the command it names only, not those of every other subcommand, and
+loads only the layers its command calls: each handler imports lr,
+cohomology or shimura itself, so an lr command never loads cohomology
+or shimura, and a cohom command never loads shimura.
 """
 
 import argparse
 import json
 import sys
 
-from . import cohomology, lr, shimura
 from .errors import AmbientNotSquare, DomainError, IncompatiblePair, InputTooLarge
 from .partition import (
     bar_closure,
@@ -51,6 +53,7 @@ def _parse_factors(text):
 
 
 def _parse_levi(text, center=None):
+    from . import cohomology
     rects = []
     text = text.strip()
     if text:
@@ -114,6 +117,7 @@ def _ambient(args):
 
 
 def _pair_of(args, flavor=None):
+    from . import shimura
     return shimura.make_pair(
         parse_partition(args.lam),
         parse_partition(args.mu),
@@ -157,6 +161,7 @@ def _cmd_skew_decompose(args):
 
 
 def _cmd_lr_coeff(args):
+    from . import lr
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner)
     nu = parse_partition(args.nu)
@@ -165,12 +170,14 @@ def _cmd_lr_coeff(args):
 
 
 def _cmd_lr_multi(args):
+    from . import lr
     target = parse_partition(args.target)
     factors = _parse_factors(args.factors)
     return {"coefficient": lr.multi_lr_coefficient(target, factors)}, [("target", target)]
 
 
 def _cmd_lr_inscribes(args):
+    from . import lr
     nu = parse_partition(args.nu)
     s = parse_skew(args.skew)
     shapes = [("nu", nu), ("window", s)]
@@ -190,6 +197,7 @@ def _cmd_lr_inscribes(args):
 
 
 def _cmd_cohom_product(args):
+    from . import cohomology
     ambient = parse_box(args.ambient)
     x = cohomology.schubert_class(ambient, parse_partition(args.lhs))
     y = cohomology.schubert_class(ambient, parse_partition(args.rhs))
@@ -197,6 +205,7 @@ def _cmd_cohom_product(args):
 
 
 def _cmd_cohom_pair(args):
+    from . import cohomology
     ambient = parse_box(args.ambient)
     x = cohomology.schubert_class(ambient, parse_partition(args.lhs))
     y = cohomology.schubert_class(ambient, parse_partition(args.rhs))
@@ -204,6 +213,7 @@ def _cmd_cohom_pair(args):
 
 
 def _cmd_cohom_restrict(args):
+    from . import cohomology
     ambient = parse_box(args.ambient)
     x = cohomology.schubert_class(ambient, parse_partition(args.cls))
     levi = _parse_levi(args.levi)
@@ -211,6 +221,7 @@ def _cmd_cohom_restrict(args):
 
 
 def _cmd_cohom_dual_class(args):
+    from . import cohomology
     ambient = parse_box(args.ambient)
     if args.type == "unitary":
         out = cohomology.dual_class_unitary(ambient, _parse_levi(args.levi))
@@ -230,6 +241,7 @@ def _cmd_cohom_dual_class(args):
 
 
 def _cmd_sh_pairs(args):
+    from . import shimura
     bidegree = None
     if args.bidegree:
         i, j = _split(args.bidegree, ",", 2, "I,J")
@@ -245,11 +257,13 @@ def _cmd_sh_pairs(args):
 
 
 def _cmd_sh_bidegree(args):
+    from . import shimura
     pair = _pair_of(args)
     return {"bidegree": list(shimura.vz_bidegree(pair))}, [("window", pair.skew)]
 
 
 def _cmd_sh_chern_action(args):
+    from . import shimura
     pair = _pair_of(args)
     nu = parse_partition(args.nu)
     w = shimura.chern_action_nonzero(nu, pair)
@@ -263,6 +277,7 @@ def _cmd_sh_chern_action(args):
 
 
 def _cmd_sh_inject(args):
+    from . import shimura
     if args.type == "gsp":
         pair = _pair_of(args, "symplectic")
         return {"injective": shimura.injectivity_gsp(pair)}, [("window", pair.skew)]
@@ -273,22 +288,26 @@ def _cmd_sh_inject(args):
 
 
 def _cmd_sh_kunneth(args):
+    from . import shimura
     pair = _pair_of(args, "unitary")
     factor_pairs = _parse_factor_pairs(args.factor_pairs)
     return {"vanishes": shimura.kunneth_vanishing(pair, factor_pairs)}, []
 
 
 def _cmd_sh_vanish(args):
+    from . import shimura
     pair = _pair_of(args, "unitary")
     return {"vanishes": shimura.vanishing_criterion(pair, args.bound, args.side)}, []
 
 
 def _cmd_sh_structure(args):
+    from . import shimura
     pair = _pair_of(args, "unitary")
     return {"structure": shimura.low_degree_structure(pair)}, [("window", pair.skew)]
 
 
 def _cmd_sh_arthur(args):
+    from . import shimura
     entries = shimura.arthur_cover(_ambient(args), args.max_degree)
     doc = {
         "entries": [
@@ -307,11 +326,13 @@ def _cmd_sh_arthur(args):
 
 
 def _cmd_sh_partha(args):
+    from . import shimura
     windows = shimura.partha_decomposition(_ambient(args), args.degree)
     return {"windows": [[a, b] for a, b in windows]}, []
 
 
 def _cmd_sh_ostar(args):
+    from . import shimura
     comps = shimura.ostar_holomorphic_components(args.p)
     idents = shimura.ostar_identifications(args.p)
     doc = {
@@ -354,7 +375,8 @@ def _type(*choices):
     return ("--type", {"choices": choices, "default": choices[0]})
 
 
-_FLAVOR = _type(*shimura.FLAVORS)
+# shimura.FLAVORS, written out so that parsing does not load shimura
+_FLAVOR = _type("unitary", "symplectic", "orthogonal")
 _UNITARY = _type("unitary")
 
 
@@ -412,8 +434,6 @@ def build_parser(argv=None):
     the longest (group, op) prefix of argv that names known choices, so
     help and error messages read as with all leaves built."""
     top = argparse.ArgumentParser(prog="schubcalc")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
     sub = top.add_subparsers(dest="command", required=True)
     path = tuple(argv or ())[:2]
     while path and not any(key[: len(path)] == path for key in _COMMANDS):
@@ -425,7 +445,8 @@ def build_parser(argv=None):
             groups[group] = sub.add_parser(group).add_subparsers(dest="op", required=True)
         if key[: len(path)] != path:
             continue
-        sp = groups[group].add_parser(op, parents=[common])
+        sp = groups[group].add_parser(op)
+        sp.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
         for flags, kwargs in options:
             if isinstance(flags, tuple):
                 mode = sp.add_mutually_exclusive_group()

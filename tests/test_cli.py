@@ -596,8 +596,52 @@ def _parsers_built(monkeypatch, argv):
 
 
 def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
-    # top, common and five groups are always built: 7 of the 31 parsers
-    assert _parsers_built(monkeypatch, ["lr", "coeff", "--outer", "2,1", "--nu", "1"]) <= 8
-    assert _parsers_built(monkeypatch, ["bogus"]) == 31
-    assert _parsers_built(monkeypatch, ["lr", "--help"]) == 7 + 3
+    # top and five groups are always built: 6 of the 30 parsers
+    assert _parsers_built(monkeypatch, ["lr", "coeff", "--outer", "2,1", "--nu", "1"]) <= 7
+    assert _parsers_built(monkeypatch, ["bogus"]) == 30
+    assert _parsers_built(monkeypatch, ["lr", "--help"]) == 6 + 3
     capsys.readouterr()
+
+
+def test_shimura_type_choices_are_the_flavors():
+    # cli writes the flavors out so that parsing does not load shimura
+    assert cli._FLAVOR == ("--type", {"choices": shimura.FLAVORS, "default": shimura.FLAVORS[0]})
+
+
+# the schubcalc modules each group's commands load beyond the package's
+_GROUP_LOADS = {
+    "partition": ["cli"],
+    "skew": ["cli"],
+    "lr": ["cli", "lr"],
+    "cohom": ["cli", "cohomology", "lr"],
+    "shimura": ["cli", "cohomology", "lr", "shimura"],
+}
+_LOADED_SCRIPT = """
+import sys
+def loaded():
+    return sorted(m[len("schubcalc."):] for m in sys.modules if m.startswith("schubcalc."))
+import schubcalc
+if loaded() != ["errors", "partition", "skew", "tableau"]:
+    sys.exit("import schubcalc loaded %%s" %% loaded())
+from schubcalc import cli
+if cli.main(%r) not in (0, 1):
+    sys.exit("the call did not run")
+if loaded() != %r:
+    sys.exit("the call loaded %%s" %% loaded())
+"""
+
+
+@pytest.mark.parametrize("argv", _LEAF_ARGVS, ids=" ".join)
+def test_a_call_loads_only_the_layers_its_command_calls(argv):
+    # sys.exit, not assert, so the checks hold under python -O too; -S
+    # keeps site packages from importing anything first
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    want = sorted(["errors", "partition", "skew", "tableau", *_GROUP_LOADS[argv[0]]])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_SCRIPT % (list(argv), want)],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
