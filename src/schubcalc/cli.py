@@ -1,14 +1,15 @@
 """Command line front end.
 
 Every run prints exactly one JSON document to stdout.  Domain failures
-exit 1 with {"error": code}, among them InputTooLarge for an input too
-deep for Python's recursion limit; malformed invocations exit 2 and
-write the complaint to stderr.  --pretty sketches the shapes involved on
-stderr, leaving stdout machine-readable.  Each call builds the parsers
-of the command it names only, not those of every other subcommand, and
-loads only the layers its command calls: each handler imports lr,
-cohomology or shimura itself, so an lr command never loads cohomology
-or shimura, and a cohom command never loads shimura.
+exit 1 with {"error": code}, among them InputTooLarge for a pair window
+over shimura.MAX_PAIR_ROWS rows, or for more Levi or chain blocks than
+the recursion limit allows; malformed invocations exit 2 and write the
+complaint to stderr.  --pretty sketches the shapes involved on stderr,
+leaving stdout machine-readable.  Each call builds the parsers of the
+command it names only, not those of every other subcommand, and loads
+only the layers its command calls: each handler imports lr, cohomology
+or shimura itself, so an lr command never loads cohomology or shimura,
+and a cohom command never loads shimura.
 """
 
 import argparse
@@ -103,7 +104,7 @@ def _draw(shape):
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape, ())
     pad = _padded_inner(shape)
-    if not shape.outer:
+    if shape.outer == pad:
         return "(empty)"
     return "\n".join(
         "   " * pad[i] + "[ ]" * (shape.outer[i] - pad[i])
@@ -462,7 +463,7 @@ def _run(args):
     try:
         return args.fn(args)
     except RecursionError as err:
-        # a shape of about a thousand rows outruns the per-row recursions
+        # _coproduct recurses once per Levi block, _chains_below per chain block
         raise InputTooLarge("input too deep for the recursion limit") from err
 
 

@@ -73,6 +73,7 @@ from typing import NamedTuple, Optional
 
 from .errors import ShapeNotSymmetric
 from .partition import (
+    _shapes_under,
     conjugate,
     contains,
     enumerate_in_rectangle,
@@ -198,16 +199,6 @@ def _coefficient(key, path):
         if path:
             _persist(path, text, value)
     return value
-
-
-def _shapes_under(highs):
-    # every partition with part i at most highs[i], built row by row:
-    # last holds the shapes with exactly as many rows as bounds read
-    out, last = [()], [()]
-    for h in highs:
-        last = [lam + (v,) for lam in last for v in range(1, min(h, lam[-1] if lam else h) + 1)]
-        out += last
-    return out
 
 
 def _skew_terms(s, caps):

@@ -179,8 +179,18 @@ def sort_key(lam):
     return (sum(lam), tuple(-p for p in lam))
 
 
+def _shapes_under(highs):
+    # every partition with part i at most highs[i], built row by row:
+    # last holds the shapes with exactly as many rows as bounds read
+    out, last = [()], [()]
+    for h in highs:
+        last = [lam + (v,) for lam in last for v in range(1, min(h, lam[-1] if lam else h) + 1)]
+        out += last
+    return out
+
+
 def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
-    """All partitions inside rows x cols in graded order.
+    """All partitions inside rows x cols in graded order, built row by row.
 
     Optional filters: exact weight, or symmetric shapes only.  The 2^m
     symmetric shapes, m = min(rows, cols), are built directly: one with
@@ -189,21 +199,12 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
     """
     if rows < 0 or cols < 0:
         raise ValueError("rectangle sides must be nonnegative: %dx%d" % (rows, cols))
-
-    def gen(maxpart, rowsleft):
-        yield ()
-        if rowsleft == 0:
-            return
-        for first in range(1, maxpart + 1):
-            for tail in gen(first, rowsleft - 1):
-                yield (first,) + tail
-
     if symmetric_only:
         out = [()]
         for a in range(1, min(rows, cols) + 1):
             out += [(a,) + tuple(p + 1 for p in mu) + (1,) * (a - 1 - len(mu)) for mu in out]
     else:
-        out = gen(cols, rows)
+        out = _shapes_under((cols,) * rows)
     if weight is not None:
         out = (lam for lam in out if sum(lam) == weight)
     return sorted(out, key=sort_key)

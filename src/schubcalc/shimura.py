@@ -15,6 +15,7 @@ from .errors import (
     AmbientNotSquare,
     BoundExceeded,
     IncompatiblePair,
+    InputTooLarge,
     InvariantViolated,
     LeviDoesNotFit,
     ShapeNotSymmetric,
@@ -45,6 +46,7 @@ from .partition import (
 from .skew import SkewShape, rectangle_decomposition, skew, symmetric_chain_split
 
 FLAVORS = ("unitary", "symplectic", "orthogonal")
+MAX_PAIR_ROWS = 900  # a 900 x 1 window holds 406,351 pairs, 0.74 GB as JSON
 
 
 class CompatiblePair(_Record):
@@ -137,7 +139,8 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
     gets its lam, with their chains and areas, from _chains_below, so
     nothing is tested and rejected; a unitary bidegree (i, j) builds
     only the chains of area |mu| - i.  The lam of one mu are put in graded
-    order by sorting on the chain area.
+    order by sorting on the chain area.  A window with columns and over
+    MAX_PAIR_ROWS rows raises InputTooLarge when the first pair is read.
     """
     ambient = tuple(ambient)
     _check_flavor(ambient, flavor)
@@ -150,6 +153,8 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
 
 def _walk(ambient, flavor, bidegree, least):
     # iter_pairs, less the pairs whose chain area is below least
+    if ambient[1] > 0 and ambient[0] > MAX_PAIR_ROWS:
+        raise InputTooLarge("%dx%d has more than %d rows" % (*ambient, MAX_PAIR_ROWS))
     square = flavor != "unitary"
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
     # the window's own tuple for each lam; None for a square flavor's non-symmetric lam
@@ -157,7 +162,7 @@ def _walk(ambient, flavor, bidegree, least):
     for mu in shapes:
         low, high = least, sum(mu)
         if bidegree is not None:
-            if _degree(complement(mu, *ambient), flavor) != bidegree[1]:
+            if _codegree(mu, ambient, flavor) != bidegree[1]:
                 continue
             if not square:
                 low = high = high - bidegree[0]
@@ -166,7 +171,7 @@ def _walk(ambient, flavor, bidegree, least):
         # |lam| = |mu| - area; equal-weight lam are never prefixes: sort_key order
         for _, lam, chain in sorted(_chains_below(mu, low, high), reverse=True):
             lam = shared.get(lam)
-            if lam is None or bidegree is not None and _degree(lam, flavor) != bidegree[0]:
+            if lam is None or square and bidegree is not None and _degree(lam, flavor) != bidegree[0]:
                 continue
             yield CompatiblePair(lam, mu, ambient, flavor, chain)
 
@@ -188,14 +193,16 @@ def _degree(shape, flavor):
     return weight(minus_part(shape))
 
 
+def _codegree(mu, ambient, flavor):
+    if flavor == "unitary":
+        return ambient[0] * ambient[1] - weight(mu)
+    return _degree(complement(mu, *ambient), flavor)
+
+
 def vz_bidegree(pair):
     """Bidegree of the pair's base class, by flavor: one degree from lam,
     one from the complement of mu."""
-    if pair.flavor == "unitary":
-        # the complement of mu weighs pq - |mu|; no need to build it
-        p, q = pair.ambient
-        return (weight(pair.lam), p * q - weight(pair.mu))
-    return (_degree(pair.lam, pair.flavor), _degree(mu_hat(pair), pair.flavor))
+    return (_degree(pair.lam, pair.flavor), _codegree(pair.mu, pair.ambient, pair.flavor))
 
 
 def levi_shape(pair):

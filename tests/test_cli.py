@@ -74,6 +74,23 @@ def test_deep_shapes_report_input_too_large(capsys):
     assert (rc, out, err) == (0, '{"coefficient":1}\n', "")
 
 
+def test_pair_windows_above_the_row_limit_are_refused(capsys):
+    # refused before a shape is listed: the square window would double
+    # its list of symmetric shapes 1,100 times
+    for argv in (
+        ("shimura", "arthur", "--p", "1100", "--q", "1", "--max-degree", "5"),
+        ("shimura", "pairs", "--p", "1100", "--type", "symplectic"),
+    ):
+        assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', ""), argv
+
+
+def test_recursion_too_deep_reports_input_too_large(capsys):
+    # the restriction recurses once per Levi block
+    levi = "*".join(["1x1"] * 400)
+    argv = ("cohom", "restrict", "--ambient", "400x400", "--class", "", "--levi", levi)
+    assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', "")
+
+
 def test_malformed_input_exit_code(capsys):
     rc, out, err = run(capsys, "partition", "conj", "--partition", "abc")
     assert rc == 2
@@ -110,6 +127,13 @@ def test_pretty_keeps_stdout_clean(capsys):
     assert plain[1] == pretty[1] == '{"chain":["3x4","2x2","1x2"]}\n'
     assert plain[2] == ""
     assert "[ ]" in pretty[2]
+
+
+def test_pretty_draws_a_skew_with_no_cells_as_empty(capsys):
+    plain = run(capsys, "skew", "decompose", "--skew", "2,1/2,1")
+    pretty = run(capsys, "skew", "decompose", "--skew", "2,1/2,1", "--pretty")
+    assert plain == (0, '{"chain":[]}\n', "")
+    assert pretty == (0, '{"chain":[]}\n', "skew:\n(empty)\n")
 
 
 def test_skew_decompose_rejects_overlap(capsys):
@@ -372,7 +396,7 @@ def test_cli_import_leaves_dataclasses_out():
     script = "import schubcalc.cli, sys; print('dataclasses' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=60,

@@ -25,6 +25,7 @@ from schubcalc.partition import (
     partition,
     plus_part,
     rect,
+    sort_key,
     staircase,
 )
 
@@ -216,6 +217,36 @@ def test_enumeration_rejects_negative_sides():
         with pytest.raises(ValueError):
             enumerate_in_rectangle(rows, cols)
     assert enumerate_in_rectangle(0, 3) == enumerate_in_rectangle(3, 0) == [()]
+
+
+def _listed_by_recursion(rows, cols):
+    # the recursive listing enumerate_in_rectangle used before it built
+    # its shapes row by row, kept as an oracle
+    def gen(maxpart, rowsleft):
+        yield ()
+        if rowsleft == 0:
+            return
+        for first in range(1, maxpart + 1):
+            for tail in gen(first, rowsleft - 1):
+                yield (first,) + tail
+
+    return sorted(gen(cols, rows), key=sort_key)
+
+
+def test_enumeration_matches_recursive_oracle_7x7():
+    for rows in range(8):
+        for cols in range(8):
+            oracle = _listed_by_recursion(rows, cols)
+            assert enumerate_in_rectangle(rows, cols) == oracle, (rows, cols)
+            for w in range(rows * cols + 2):
+                got = enumerate_in_rectangle(rows, cols, weight=w)
+                assert got == [lam for lam in oracle if sum(lam) == w], (rows, cols, w)
+
+
+def test_enumeration_lists_1100_rows():
+    shapes = enumerate_in_rectangle(1100, 1)
+    assert len(shapes) == 1101
+    assert shapes[-1] == (1,) * 1100
 
 
 def test_symmetric_count_3x3():

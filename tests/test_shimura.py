@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
+import math
 import subprocess
 import sys
 import textwrap
@@ -16,6 +18,7 @@ from schubcalc.errors import (
     AmbientNotSquare,
     BoundExceeded,
     IncompatiblePair,
+    InputTooLarge,
     LeviDoesNotFit,
     ShapeNotSymmetric,
     ShapeOutOfBox,
@@ -261,6 +264,30 @@ def test_enumerate_pairs_6x6_unitary_digest():
     assert len(pairs) == 17556
     rows = repr([(p.lam, p.mu, p.chain) for p in pairs]).encode()
     assert hashlib.sha256(rows).hexdigest() == GENERATE_AND_REJECT_6X6
+
+
+def test_pair_counts_match_closed_form():
+    # the chains below mu that start at row t number mu_t, so mu has
+    # 1 + |mu| of them, and a window sum(1 + |mu|) = C(p+q, p)(pq + 2)/2
+    # unitary pairs; the square flavors have 2^(p-1)(p + 2)
+    for p in range(7):
+        for q in range(7):
+            want = math.comb(p + q, p) * (p * q + 2) // 2
+            assert len(enumerate_pairs((p, q))) == want, (p, q)
+        for flavor in FLAVORS[1:]:
+            assert len(enumerate_pairs((p, p), flavor)) == 2**p * (p + 2) // 2, (p, flavor)
+
+
+def test_pair_windows_above_the_row_limit_are_refused():
+    assert shimura.MAX_PAIR_ROWS == 900
+    assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((900, 1)), 2)] == [((), ()), ((), (1,))]
+    for ambient, flavor in (((901, 1), "unitary"), ((901, 901), "symplectic"), ((901, 901), "orthogonal")):
+        with pytest.raises(InputTooLarge):
+            next(iter_pairs(ambient, flavor))
+    with pytest.raises(InputTooLarge):
+        arthur_cover((901, 1), 5)
+    # a window with no columns holds one pair, whatever its rows
+    assert [(p.lam, p.mu) for p in enumerate_pairs((2000, 0))] == [((), ())]
 
 
 def test_enumerate_pairs_validates_up_front():
