@@ -2,21 +2,22 @@
 
 Every run prints exactly one JSON document to stdout.  Domain failures
 exit 1 with {"error": code}, among them InputTooLarge for a pair window
-over shimura.MAX_PAIR_ROWS rows, or for more Levi or chain blocks than
-the recursion limit allows; malformed invocations exit 2 and write the
-complaint to stderr.  --pretty sketches the shapes involved on stderr,
-leaving stdout machine-readable.  Each call builds the parsers of the
-command it names only, not those of every other subcommand, and loads
-only the layers its command calls: each handler imports lr, cohomology
-or shimura itself, so an lr command never loads cohomology or shimura,
-and a cohom command never loads shimura.
+over shimura.MAX_PAIR_ROWS rows or columns; malformed invocations exit
+2 and write the complaint to stderr.  No command path recurses, so an
+answer does not depend on the caller's stack depth.  --pretty sketches
+the shapes involved on stderr, leaving stdout machine-readable.  Each
+call builds the parsers of the command it names only, not those of
+every other subcommand, and loads only the layers its command calls:
+each handler imports lr, cohomology or shimura itself, so an lr command
+never loads cohomology or shimura, and a cohom command never loads
+shimura.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import AmbientNotSquare, DomainError, IncompatiblePair, InputTooLarge
+from .errors import AmbientNotSquare, DomainError, IncompatiblePair
 from .partition import (
     bar_closure,
     check_reduction,
@@ -459,20 +460,12 @@ def build_parser(argv=None):
     return top
 
 
-def _run(args):
-    try:
-        return args.fn(args)
-    except RecursionError as err:
-        # _coproduct recurses once per Levi block, _chains_below per chain block
-        raise InputTooLarge("input too deep for the recursion limit") from err
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        doc, shapes = _run(args)
+        doc, shapes = args.fn(args)
     except DomainError as err:
         print(json.dumps({"error": err.code}, separators=(",", ":")))
         return 1

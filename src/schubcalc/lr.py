@@ -22,13 +22,14 @@ own.
 A target's splits into block shapes are read top-down, from
 s_lam(x, y) = sum_alpha s_alpha(x) s_{lam/alpha}(y) and
 s_{lam/alpha} = sum_mu c^lam_{alpha,mu} s_mu (Macdonald, I.5).
-_coproduct(lam, boxes) takes each alpha_1 inside both lam and the first
-box, expands lam/alpha_1 in one ballot search with its letters capped
-by the rectangle the other boxes span, and splits each term mu over
-those boxes the same way, so every shape it visits lies under lam.
-Its memoized terms are sorted once, into the graded order of each
-alpha_i in turn, so the Levi restriction of one Schubert class reads
-its terms off it without sorting again.  The diagonal search
+_coproduct(lam, boxes) takes the boxes off in one loop over {shape
+still to split: {block shapes so far: coefficient}}: each shape mu
+still to split and each alpha inside both mu and the next box give one
+ballot search over mu/alpha, its letters capped by the rectangle the
+boxes left span.  So every shape visited lies under lam, and nothing
+recurses.  Its memoized terms are sorted once, into the graded order
+of each alpha_i in turn, so the Levi restriction of one Schubert class
+reads its terms off it without sorting again.  The diagonal search
 expands target/center once and splits each term; multi-factor
 coefficients stay on the bottom-up products, so the tests' oracles,
 which count through multi_lr_coefficient, do not share the walk.
@@ -230,31 +231,33 @@ def _expand_pair(lam, nu, outer):
     return dict(sorted(terms.items(), key=lambda kv: sort_key(kv[0])))
 
 
-def _split_rest(lam, alpha, boxes):
-    # {gammas: c^lam_{alpha,gammas}} with gamma_i inside boxes[i]: one
-    # search over lam/alpha, its letters capped by the rectangle the
-    # boxes span, then each term split over the boxes
-    rows, cols = sum(a for a, _ in boxes), sum(b for _, b in boxes)
-    out = {}
-    if sum(lam) - sum(alpha) <= rows * cols and contains(alpha, lam):
-        for mu, c in _skew_terms(SkewShape(lam, alpha), (cols,) * rows).items():
-            for gammas, c2 in _coproduct(mu, boxes).items():
-                out[gammas] = out.get(gammas, 0) + c * c2
-    return out
+def _skew_under(lam, alpha, rows, cols):
+    # _skew_terms of lam/alpha with its letters capped by the rows x cols
+    # rectangle, or {} if alpha is not inside lam or the rest does not fit
+    if sum(lam) - sum(alpha) > rows * cols or not contains(alpha, lam):
+        return {}
+    return _skew_terms(SkewShape(lam, alpha), (cols,) * rows)
 
 
 @functools.cache
 def _coproduct(lam, boxes):
     # {(alpha_1, ..., alpha_k): c^lam_{alpha_1...alpha_k}} with alpha_i
-    # inside boxes[i], walked down from lam (see the module docstring),
-    # in the graded order of each alpha_i in turn
-    if not boxes:
-        return {} if lam else {(): 1}
-    (rows, cols), rest = boxes[0], boxes[1:]
-    terms = {}
-    for alpha in _shapes_under([min(cols, p) for p in lam[:rows]]):
-        for gammas, c in _split_rest(lam, alpha, rest).items():
-            terms[(alpha,) + gammas] = c
+    # inside boxes[i], walked down from lam one box at a time (see the
+    # module docstring), in the graded order of each alpha_i in turn
+    level = {lam: {(): 1}}  # {shape still to split: {alphas so far: coefficient}}
+    rows_left, cols_left = sum(a for a, _ in boxes), sum(b for _, b in boxes)
+    for rows, cols in boxes:
+        rows_left, cols_left = rows_left - rows, cols_left - cols
+        nxt = {}
+        for mu, heads in level.items():
+            for alpha in _shapes_under([min(cols, p) for p in mu[:rows]]):
+                for rest, c in _skew_under(mu, alpha, rows_left, cols_left).items():
+                    acc = nxt.setdefault(rest, {})
+                    for head, c0 in heads.items():
+                        key = head + (alpha,)
+                        acc[key] = acc.get(key, 0) + c0 * c
+        level = nxt
+    terms = level.get((), {})
     return dict(sorted(terms.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
 
 
@@ -391,9 +394,14 @@ def _centers(side, reduce_map):
 
 @functools.cache
 def _ordered_splits(tgt, ctr, boxes):
-    # the splits of tgt/ctr over the boxes, in the graded order of each
-    # block shape in turn, as a tuple that no caller can change
-    return tuple(sorted(_split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))))
+    # the splits of tgt/ctr over the boxes, one expansion of tgt/ctr with
+    # each term split by _coproduct, in the graded order of each block
+    # shape in turn, as a tuple that no caller can change
+    rows, cols = sum(a for a, _ in boxes), sum(b for _, b in boxes)
+    splits = set()
+    for mu in _skew_under(tgt, ctr, rows, cols):
+        splits.update(_coproduct(mu, boxes))
+    return tuple(sorted(splits, key=lambda g: tuple(map(sort_key, g))))
 
 
 def diagonal_splits(base, center_side, boxes, reduce_map):

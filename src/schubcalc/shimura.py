@@ -46,7 +46,7 @@ from .partition import (
 from .skew import SkewShape, rectangle_decomposition, skew, symmetric_chain_split
 
 FLAVORS = ("unitary", "symplectic", "orthogonal")
-MAX_PAIR_ROWS = 900  # a 900 x 1 window holds 406,351 pairs, 0.74 GB as JSON
+MAX_PAIR_ROWS = 900  # a 900 x 1 or 1 x 900 window holds 406,351 pairs, 0.74 GB as JSON
 
 
 class CompatiblePair(_Record):
@@ -98,7 +98,7 @@ def make_pair(lam, mu, ambient, flavor="unitary"):
 
 def _chains_below(mu, least, most):
     """Every (area, lam, chain) with mu/lam a corner-linked rectangle
-    chain of area in least..most.
+    chain of area in least..most, in no set order.
 
     A rectangle starting at row t runs down to the last row b of mu's
     block of parts equal to mu_t, since a row of that block left out
@@ -109,8 +109,10 @@ def _chains_below(mu, least, most):
     """
     parts = mu + (0,)
     out = [(0, mu, ())] if least <= 0 <= most else []
-
-    def walk(t, above, chain, area):
+    # the chains still to extend, each (start row, rows above, chain, area)
+    todo = [(t, mu[:t], (), 0) for t in range(len(mu))]
+    while todo:
+        t, above, chain, area = todo.pop()
         b = t
         while parts[b + 1] == parts[t]:
             b += 1
@@ -124,10 +126,7 @@ def _chains_below(mu, least, most):
             if size >= least:
                 out.append((size, inner + mu[b + 1 :], step))
             if lo == below > 0:
-                walk(b + 1, inner, step, size)
-
-    for t in range(len(mu)):
-        walk(t, mu[:t], (), 0)
+                todo.append((b + 1, inner, step, size))
     return out
 
 
@@ -139,8 +138,8 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
     gets its lam, with their chains and areas, from _chains_below, so
     nothing is tested and rejected; a unitary bidegree (i, j) builds
     only the chains of area |mu| - i.  The lam of one mu are put in graded
-    order by sorting on the chain area.  A window with columns and over
-    MAX_PAIR_ROWS rows raises InputTooLarge when the first pair is read.
+    order by sorting on the chain area.  A window with rows and columns,
+    over MAX_PAIR_ROWS of either, raises InputTooLarge on the first read.
     """
     ambient = tuple(ambient)
     _check_flavor(ambient, flavor)
@@ -153,8 +152,8 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
 
 def _walk(ambient, flavor, bidegree, least):
     # iter_pairs, less the pairs whose chain area is below least
-    if ambient[1] > 0 and ambient[0] > MAX_PAIR_ROWS:
-        raise InputTooLarge("%dx%d has more than %d rows" % (*ambient, MAX_PAIR_ROWS))
+    if min(ambient) > 0 and max(ambient) > MAX_PAIR_ROWS:
+        raise InputTooLarge("%dx%d has more than %d rows or columns" % (*ambient, MAX_PAIR_ROWS))
     square = flavor != "unitary"
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
     # the window's own tuple for each lam; None for a square flavor's non-symmetric lam

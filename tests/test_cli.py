@@ -57,10 +57,10 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_deep_shapes_report_input_too_large(capsys):
-    # a window of about a thousand rows outruns the per-row recursion of
-    # the pair enumeration
-    rc, out, err = run(capsys, "shimura", "pairs", "--p", "1100", "--q", "1")
-    assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', "")
+    # a pair window over shimura.MAX_PAIR_ROWS rows or columns is refused
+    for p, q in (("1100", "1"), ("1", "1100")):
+        rc, out, err = run(capsys, "shimura", "pairs", "--p", p, "--q", q)
+        assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', ""), (p, q)
     # products and restrictions build shapes without recursion, so a
     # thousand-row shape is answered
     ones = ",".join(["1"] * 1100)
@@ -84,11 +84,14 @@ def test_pair_windows_above_the_row_limit_are_refused(capsys):
         assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', ""), argv
 
 
-def test_recursion_too_deep_reports_input_too_large(capsys):
-    # the restriction recurses once per Levi block
+def test_restrictions_to_hundreds_of_blocks_are_answered(capsys):
+    # the restriction takes the Levi blocks off in a loop, so 400 blocks
+    # need no deeper stack than one
     levi = "*".join(["1x1"] * 400)
     argv = ("cohom", "restrict", "--ambient", "400x400", "--class", "", "--levi", levi)
-    assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', "")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"factors": ["1x1"] * 400, "terms": [{"partitions": [""] * 400, "coeff": 1}]}
 
 
 def test_malformed_input_exit_code(capsys):
@@ -669,3 +672,46 @@ def test_a_call_loads_only_the_layers_its_command_calls(argv):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+_AT_LIMIT_SCRIPT = """
+import contextlib, io, json, sys
+from schubcalc import cli
+limit, argvs = json.load(sys.stdin)
+if limit:
+    sys.setrecursionlimit(limit)
+outs = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = cli.main(argv)
+    outs.append([rc, out.getvalue()])
+json.dump(outs, sys.stdout)
+"""
+
+
+def _outputs_at_recursion_limit(limit, argvs):
+    src = str(Path(schubcalc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _AT_LIMIT_SCRIPT],
+        input=json.dumps([limit, argvs]),
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_outputs_do_not_depend_on_the_recursion_limit():
+    # no command path recurses, so a limit of 100 frames changes no byte
+    argvs = [list(argv) for argv in _LEAF_ARGVS]
+    levi = "*".join(["1x1"] * 400)
+    blocks = ["cohom", "restrict", "--ambient", "400x400", "--class", "1", "--levi", levi]
+    *shallow, (rc, out) = _outputs_at_recursion_limit(100, argvs + [blocks])
+    assert shallow == _outputs_at_recursion_limit(None, argvs)
+    # the box goes to one block, the last one first in graded order
+    terms = [{"partitions": [""] * (399 - i) + ["1"] + [""] * i, "coeff": 1} for i in range(400)]
+    doc = {"factors": ["1x1"] * 400, "terms": terms}
+    assert (rc, out) == (0, json.dumps(doc, separators=(",", ":")) + "\n")
+    assert len(out.encode()) == 493624

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -927,6 +928,46 @@ def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
     assert calls == []
 
 
+def _split_rest_recursive(lam, alpha, boxes):
+    # _split_rest and _coproduct as they were before _coproduct took the
+    # boxes off in one loop: each called the other once per Levi block.
+    # Kept as an oracle; _split_rest gave the diagonal search its splits.
+    rows, cols = sum(a for a, _ in boxes), sum(b for _, b in boxes)
+    out = {}
+    if sum(lam) - sum(alpha) <= rows * cols and contains(alpha, lam):
+        for mu, c in lr_mod._skew_terms(SkewShape(lam, alpha), (cols,) * rows).items():
+            for gammas, c2 in _coproduct_recursive(mu, boxes).items():
+                out[gammas] = out.get(gammas, 0) + c * c2
+    return out
+
+
+@functools.cache
+def _coproduct_recursive(lam, boxes):
+    if not boxes:
+        return {} if lam else {(): 1}
+    (rows, cols), rest = boxes[0], boxes[1:]
+    terms = {}
+    for alpha in lr_mod._shapes_under([min(cols, p) for p in lam[:rows]]):
+        for gammas, c in _split_rest_recursive(lam, alpha, rest).items():
+            terms[(alpha,) + gammas] = c
+    return dict(sorted(terms.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
+
+
+def test_coproduct_matches_recursive_oracle(cold_memo):
+    # every 4x4 class and every Levi of one to three blocks, then a
+    # seeded sample of the 5x5 ones, terms in order
+    cases = [(lam, rects) for rects in _block_tuples(4, 4, 3) for lam in SHAPES_4x4]
+    shapes = enumerate_in_rectangle(5, 5)
+    cases += random.Random(20).sample([(lam, rects) for rects in _block_tuples(5, 5, 3) for lam in shapes], 1000)
+    for lam, rects in cases:
+        want = list(_coproduct_recursive(lam, rects).items())
+        assert list(lr_mod._coproduct(lam, rects).items()) == want, (lam, rects)
+        # the splits of lam/alpha over the rest, read through _coproduct
+        alpha = lam[: rects[0][0]]
+        splits = sorted(_split_rest_recursive(lam, alpha, rects[1:]), key=lambda g: tuple(map(sort_key, g)))
+        assert list(lr_mod._ordered_splits(lam, alpha, rects[1:])) == splits, (lam, rects)
+
+
 def _memo_counts():
     return {h.__name__: (h.cache_info().hits, h.cache_info().misses) for h in MEMOIZED}
 
@@ -952,14 +993,14 @@ _LEVI_CASE = (schubert_class((4, 4), (3, 2, 1)), LeviShape(((2, 2), (2, 2))))
         (
             lambda: restrict_levi(*_LEVI_CASE),
             lambda: restrict_levi(*_LEVI_CASE),
-            _counts(coproduct=(4, 6)),
-            _counts(coproduct=(5, 6)),
+            _counts(coproduct=(0, 1)),
+            _counts(coproduct=(1, 1)),
         ),
         (
             lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
             lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
-            _counts(coproduct=(3, 6), centers=(0, 1), ordered_splits=(0, 2)),
-            _counts(coproduct=(3, 6), centers=(1, 1), ordered_splits=(2, 2)),
+            _counts(coproduct=(0, 3), centers=(0, 1), ordered_splits=(0, 2)),
+            _counts(coproduct=(0, 3), centers=(1, 1), ordered_splits=(2, 2)),
         ),
         (
             lambda: lr_coefficient((3, 2, 1), (2, 1), (2, 1)),
@@ -1124,7 +1165,7 @@ def _diagonal_splits_unmemoized(base, center_side, boxes, reduce_map):
     for t_label, tgt in lr_mod._oriented(base):
         for nu0 in centers:
             for t0_label, ctr in lr_mod._oriented(reduce_map(nu0)):
-                for gammas in sorted(lr_mod._split_rest(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
+                for gammas in sorted(_split_rest_recursive(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
                     yield SymWitness(
                         (t_label, t0_label if center_side else None),
                         nu0 if center_side else None,

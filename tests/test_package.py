@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -120,3 +121,51 @@ def test_package_name_follows_a_rebinding_in_its_layer(monkeypatch):
     assert schubcalc.lr_coefficient is patched
     monkeypatch.undo()
     assert schubcalc.lr_coefficient is schubcalc.lr.lr_coefficient is not patched
+
+
+def _functions_on_call_cycles():
+    # a call graph over every function the package defines, nested ones
+    # named after their enclosing function, with a call to a bare name or
+    # an attribute joined to every function of that name; returns the
+    # functions that can reach themselves
+    defs = {}  # qualified name -> node
+
+    def collect(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    defs[name] = child
+                collect(child, name + ".")
+            else:
+                collect(child, prefix)
+
+    for path in sorted(Path(schubcalc.__file__).parent.glob("*.py")):
+        collect(ast.parse(path.read_text()), path.stem + ".")
+    by_name = {}
+    for name in defs:
+        by_name.setdefault(name.rpartition(".")[2], []).append(name)
+    calls = {}
+    for name, node in defs.items():
+        called = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                f = sub.func
+                called.update(by_name.get(getattr(f, "id", None) or getattr(f, "attr", None), ()))
+        calls[name] = called
+    cyclic = set()
+    for start in defs:
+        seen, todo = set(), [start]
+        while todo:
+            for name in calls[todo.pop()] - seen:
+                seen.add(name)
+                todo.append(name)
+        if start in seen:
+            cyclic.add(start)
+    return cyclic
+
+
+def test_only_the_library_cross_checks_recurse():
+    # no command path recurses, so no answer depends on the stack depth;
+    # the relabeling count and the tableau enumeration are cross-checks
+    assert _functions_on_call_cycles() == {"lr.count_images.rec", "tableau.enumerate_ssyt.place"}

@@ -194,6 +194,43 @@ def _walk_and_rank(ambient, flavor="unitary"):
     return out
 
 
+def _chains_below_recursive(mu, least, most):
+    # _chains_below as it walked before it kept its open chains in a
+    # list: one nested call per chain block, kept as an oracle.
+    parts = mu + (0,)
+    out = [(0, mu, ())] if least <= 0 <= most else []
+
+    def walk(t, above, chain, area):
+        b = t
+        while parts[b + 1] == parts[t]:
+            b += 1
+        rows, below = b - t + 1, parts[b + 1]
+        for lo in range(below, parts[t]):
+            size = area + rows * (parts[t] - lo)
+            if size > most:
+                continue
+            inner = above + (lo,) * rows if lo else above
+            step = chain + ((rows, parts[t] - lo),)
+            if size >= least:
+                out.append((size, inner + mu[b + 1 :], step))
+            if lo == below > 0:
+                walk(b + 1, inner, step, size)
+
+    for t in range(len(mu)):
+        walk(t, mu[:t], (), 0)
+    return out
+
+
+def test_chains_below_matches_recursive_oracle():
+    # every mu of the 6x6 box, over a grid of area bounds around 0 and |mu|
+    for mu in enumerate_in_rectangle(6, 6):
+        w = weight(mu)
+        for least in (-1, 0, 1, w // 2, w):
+            for most in (0, w // 2, w - 1, w, w + 1):
+                got = sorted(shimura._chains_below(mu, least, most))
+                assert got == sorted(_chains_below_recursive(mu, least, most)), (mu, least, most)
+
+
 def _windows(limit):
     for p in range(limit + 1):
         for q in range(limit + 1):
@@ -279,15 +316,24 @@ def test_pair_counts_match_closed_form():
 
 
 def test_pair_windows_above_the_row_limit_are_refused():
+    # the limit covers rows or columns
     assert shimura.MAX_PAIR_ROWS == 900
     assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((900, 1)), 2)] == [((), ()), ((), (1,))]
-    for ambient, flavor in (((901, 1), "unitary"), ((901, 901), "symplectic"), ((901, 901), "orthogonal")):
+    assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((1, 900)), 2)] == [((), ()), ((), (1,))]
+    for ambient, flavor in (
+        ((901, 1), "unitary"),
+        ((1, 901), "unitary"),
+        ((901, 901), "symplectic"),
+        ((901, 901), "orthogonal"),
+    ):
         with pytest.raises(InputTooLarge):
             next(iter_pairs(ambient, flavor))
-    with pytest.raises(InputTooLarge):
-        arthur_cover((901, 1), 5)
-    # a window with no columns holds one pair, whatever its rows
+    for ambient in ((901, 1), (1, 901)):
+        with pytest.raises(InputTooLarge):
+            arthur_cover(ambient, 5)
+    # a window with no rows or no columns holds one pair, whatever its size
     assert [(p.lam, p.mu) for p in enumerate_pairs((2000, 0))] == [((), ())]
+    assert [(p.lam, p.mu) for p in enumerate_pairs((0, 2000))] == [((), ())]
 
 
 def test_enumerate_pairs_validates_up_front():
