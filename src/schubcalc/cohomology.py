@@ -234,10 +234,10 @@ def restrict_levi(x, levi):
     if len(x.terms) == 1:
         # _coproduct keeps its terms in graded order: no sort needed
         ((lam, c),) = x.terms.items()
-        return TensorClass(rects, {alphas: c * m for alphas, m in _coproduct(lam, rects).items()} if c else {})
+        return TensorClass(rects, {alphas: c * m for alphas, m in _coproduct(lam, (), rects).items()} if c else {})
     out = {}
     for lam, c in x.terms.items():
-        for alphas, m in _coproduct(lam, rects).items():
+        for alphas, m in _coproduct(lam, (), rects).items():
             out[alphas] = out.get(alphas, 0) + c * m
     return TensorClass(rects, _normalize_terms(out, lambda kv: tuple(map(sort_key, kv[0]))))
 

@@ -22,26 +22,27 @@ own.
 A target's splits into block shapes are read top-down, from
 s_lam(x, y) = sum_alpha s_alpha(x) s_{lam/alpha}(y) and
 s_{lam/alpha} = sum_mu c^lam_{alpha,mu} s_mu (Macdonald, I.5).
-_coproduct(lam, boxes) takes the boxes off in one loop over {shape
-still to split: {block shapes so far: coefficient}}: each shape mu
-still to split and each alpha inside both mu and the next box give one
-ballot search over mu/alpha, its letters capped by the rectangle the
-boxes left span.  So every shape visited lies under lam, and nothing
-recurses.  Its memoized terms are sorted once, into the graded order
-of each alpha_i in turn, so the Levi restriction of one Schubert class
-reads its terms off it without sorting again.  The diagonal search
-expands target/center once and splits each term; multi-factor
-coefficients stay on the bottom-up products, so the tests' oracles,
-which count through multi_lr_coefficient, do not share the walk.
-The diagonal search also memoizes the symmetric centers of a side,
-each with its oriented reduction, and the sorted splits of a target
-over a center.
+_coproduct(lam, inner, boxes) splits the skew lam/inner in one loop
+over {shape still to split: {block shapes so far: coefficient}}, which
+starts from lam/inner expanded inside the rectangle all the boxes span.
+Each shape mu still to split and each alpha inside both mu and the next
+box give one ballot search over mu/alpha, its letters capped by the
+rectangle the boxes left span; alpha = mu and alpha = () need none, as
+a skew with no cells and a straight shape have one ballot filling each
+(row i holds only i's).  Every shape visited lies under lam, and
+nothing recurses.  The memoized terms are sorted once, into the graded
+order of each alpha_i in turn, for both callers: the Levi restriction
+(inner empty) and the diagonal search (a target over a center).
+Multi-factor coefficients stay on the bottom-up products, so the tests'
+oracles, which count through multi_lr_coefficient, do not share the
+walk.
 
-Each memoized helper (_coefficient, _expand_pair, _coproduct, _centers
-and _ordered_splits) keeps its own functools.cache table, which
-cache_clear() empties and cache_info() counts.  A hit returns the
-table's own dict or tuple, shared by every caller, so callers must not
-mutate it; the tuples let searches running at the same time share them.
+Each memoized helper (_coefficient, _expand_pair, _coproduct and
+_centers, the diagonal search's symmetric centers of a side) keeps its
+own functools.cache table, which cache_clear() empties and cache_info()
+counts.  A hit returns the table's own dict or tuple, shared by every
+caller, so callers must not mutate it; the tuples let searches running
+at the same time share them.
 
 A single coefficient, lr_coefficient, is the same in four orientations:
 swap the two lower shapes, or conjugate all three.  _coefficient and
@@ -205,9 +206,10 @@ def _coefficient(key, path):
 def _skew_terms(s, caps):
     # {mu: c^outer_{inner,mu}} over the mu whose part v is at most
     # caps[v-1]: one ballot search over s, each filling adding 1 to the
-    # term of its content (s_{outer/inner} = sum_mu c^outer_{inner,mu} s_mu)
+    # term of its content (s_{outer/inner} = sum_mu c^outer_{inner,mu} s_mu);
+    # ballot counts fall weakly after the positive sentinel, so zeros trail
     tally = Counter(tuple(counts) for _, counts in ballot_fillings(s, caps))
-    return {partition(counts[1:]): c for counts, c in tally.items()}
+    return {counts[1 : len(counts) - counts.count(0)]: c for counts, c in tally.items()}
 
 
 def _expand(lam, nu, outer):
@@ -233,19 +235,26 @@ def _expand_pair(lam, nu, outer):
 
 def _skew_under(lam, alpha, rows, cols):
     # _skew_terms of lam/alpha with its letters capped by the rows x cols
-    # rectangle, or {} if alpha is not inside lam or the rest does not fit
+    # rectangle, or {} if alpha is not inside lam or the rest does not fit;
+    # a skew with no cells, or a straight shape, whose one ballot filling
+    # puts only i's in row i, is answered without a search
+    if alpha == lam:
+        return {(): 1}
+    if not alpha:
+        return {lam: 1} if len(lam) <= rows and lam[0] <= cols else {}
     if sum(lam) - sum(alpha) > rows * cols or not contains(alpha, lam):
         return {}
     return _skew_terms(SkewShape(lam, alpha), (cols,) * rows)
 
 
 @functools.cache
-def _coproduct(lam, boxes):
-    # {(alpha_1, ..., alpha_k): c^lam_{alpha_1...alpha_k}} with alpha_i
-    # inside boxes[i], walked down from lam one box at a time (see the
-    # module docstring), in the graded order of each alpha_i in turn
-    level = {lam: {(): 1}}  # {shape still to split: {alphas so far: coefficient}}
+def _coproduct(lam, inner, boxes):
+    # {(alpha_1, ..., alpha_k): c^{lam/inner}_{alpha_1...alpha_k}} with
+    # alpha_i inside boxes[i], in the graded order of each alpha_i in
+    # turn (see the module docstring)
     rows_left, cols_left = sum(a for a, _ in boxes), sum(b for _, b in boxes)
+    # {shape still to split: {alphas so far: coefficient}}
+    level = {mu: {(): c} for mu, c in _skew_under(lam, inner, rows_left, cols_left).items()}
     for rows, cols in boxes:
         rows_left, cols_left = rows_left - rows, cols_left - cols
         nxt = {}
@@ -392,36 +401,23 @@ def _centers(side, reduce_map):
     return tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
 
 
-@functools.cache
-def _ordered_splits(tgt, ctr, boxes):
-    # the splits of tgt/ctr over the boxes, one expansion of tgt/ctr with
-    # each term split by _coproduct, in the graded order of each block
-    # shape in turn, as a tuple that no caller can change
-    rows, cols = sum(a for a, _ in boxes), sum(b for _, b in boxes)
-    splits = set()
-    for mu in _skew_under(tgt, ctr, rows, cols):
-        splits.update(_coproduct(mu, boxes))
-    return tuple(sorted(splits, key=lambda g: tuple(map(sort_key, g))))
-
-
 def diagonal_splits(base, center_side, boxes, reduce_map):
     """SymWitness records of the ways to reach the strict shape base
     from a symmetric center inside center_side x center_side and one
     shape per box: both orientations of base, then each center, both
     orientations of its reduction, then the splits of the rest inside
-    the oriented target, read off one expansion of target/center and
-    ordered by the graded order of each block shape in turn.  With
-    center_side 0 there is no center factor, and the center and its
-    orientation are None.  The centers of each (center_side,
-    reduce_map) and the ordered splits of each (target, center, boxes)
-    each have their own functools.cache table (_centers and
-    _ordered_splits), so a repeated search runs no ballot search; the
-    witnesses come out in the same order either way."""
+    the oriented target, the keys of _coproduct(target, center, boxes),
+    in the graded order of each block shape in turn.  With center_side
+    0 there is no center factor, and the center and its orientation are
+    None.  The centers of each (center_side, reduce_map) have their own
+    functools.cache table (_centers), and the splits share _coproduct's
+    with the Levi restriction, so a repeated search runs no ballot
+    search; the witnesses come out in the same order either way."""
     boxes = tuple(map(tuple, boxes))
     for t_label, tgt in _oriented(base):
         for nu0, oriented in _centers(center_side, reduce_map):
             for t0_label, ctr in oriented:
-                for gammas in _ordered_splits(tgt, ctr, boxes):
+                for gammas in _coproduct(tgt, ctr, boxes):
                     yield SymWitness(
                         (t_label, t0_label if center_side else None),
                         nu0 if center_side else None,

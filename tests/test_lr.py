@@ -58,7 +58,7 @@ SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
 
 # every memoized helper of lr, each with its own functools.cache table
-MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod._centers, lr_mod._ordered_splits)
+MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod._centers)
 
 
 def _clear_memo():
@@ -923,8 +923,8 @@ def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
     first = inscribes_symmetric((2, 2), s)
     calls.clear()
     assert inscribes_symmetric((2, 2), s) == first
-    # the centers and the ordered splits of each target/center are
-    # memoized, so the warm call searches nothing
+    # the centers are memoized, and the splits of each target/center
+    # are _coproduct's, so the warm call searches nothing
     assert calls == []
 
 
@@ -961,11 +961,39 @@ def test_coproduct_matches_recursive_oracle(cold_memo):
     cases += random.Random(20).sample([(lam, rects) for rects in _block_tuples(5, 5, 3) for lam in shapes], 1000)
     for lam, rects in cases:
         want = list(_coproduct_recursive(lam, rects).items())
-        assert list(lr_mod._coproduct(lam, rects).items()) == want, (lam, rects)
-        # the splits of lam/alpha over the rest, read through _coproduct
+        assert list(lr_mod._coproduct(lam, (), rects).items()) == want, (lam, rects)
+        # the splits of the skew lam/alpha over the rest
         alpha = lam[: rects[0][0]]
         splits = sorted(_split_rest_recursive(lam, alpha, rects[1:]), key=lambda g: tuple(map(sort_key, g)))
-        assert list(lr_mod._ordered_splits(lam, alpha, rects[1:])) == splits, (lam, rects)
+        assert list(lr_mod._coproduct(lam, alpha, rects[1:])) == splits, (lam, rects)
+
+
+def test_coproduct_searches_no_empty_or_straight_skew(monkeypatch, cold_memo):
+    # a skew with no cells and a straight shape each have one ballot
+    # filling, row i holding only i's, so neither is searched
+    searched = []
+
+    def counting(s, caps):
+        searched.append(s)
+        return ballot_fillings(s, caps)
+
+    monkeypatch.setattr(lr_mod, "ballot_fillings", counting)
+    for rects in _block_tuples(4, 4, 3):
+        for lam in SHAPES_4x4:
+            lr_mod._coproduct(lam, (), rects)
+    # the diagonal searches of the hash-seed CI commands
+    center_side, flanks = symmetric_chain_split(skew((5, 4, 3, 2, 1), (4, 3, 2, 1)))
+    for reduce_map in (plus_part, minus_part):
+        assert list(diagonal_splits(reduce_map((2, 2)), center_side, [(b, a) for a, b in flanks], reduce_map))
+    assert searched
+    assert all(s.inner and size(s) for s in searched)
+    for lam in SHAPES_4x4:
+        assert lr_mod._coproduct(lam, lam, ()) == {(): 1}
+        assert lr_mod._coproduct(lam, (), ()) == ({} if lam else {(): 1})
+    # a class that does not fit the union of the blocks restricts to 0
+    assert lr_mod._coproduct((3,), (), ((1, 1), (1, 1))) == {}
+    assert restrict_levi(schubert_class((4, 4), (3,)), LeviShape(((1, 1), (1, 1)))).terms == {}
+    assert restrict_levi(schubert_class((4, 4), (1, 1, 1)), LeviShape(((1, 2), (1, 1)))).terms == {}
 
 
 def _memo_counts():
@@ -999,8 +1027,8 @@ _LEVI_CASE = (schubert_class((4, 4), (3, 2, 1)), LeviShape(((2, 2), (2, 2))))
         (
             lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
             lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
-            _counts(coproduct=(0, 3), centers=(0, 1), ordered_splits=(0, 2)),
-            _counts(coproduct=(0, 3), centers=(1, 1), ordered_splits=(2, 2)),
+            _counts(coproduct=(0, 2), centers=(0, 1)),
+            _counts(coproduct=(2, 2), centers=(1, 1)),
         ),
         (
             lambda: lr_coefficient((3, 2, 1), (2, 1), (2, 1)),
@@ -1032,7 +1060,7 @@ def _restrict_levi_sorting(x, levi):
     rects = tuple(map(tuple, levi.rects))
     out = {}
     for lam, c in x.terms.items():
-        for alphas, m in lr_mod._coproduct(lam, rects).items():
+        for alphas, m in lr_mod._coproduct(lam, (), rects).items():
             out[alphas] = out.get(alphas, 0) + c * m
     clean = {k: c for k, c in out.items() if c}
     return list(sorted(clean.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
