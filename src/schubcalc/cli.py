@@ -10,10 +10,14 @@ call builds the parsers of the command it names only, not those of
 every other subcommand, and loads only the layers its command calls:
 each handler imports lr, cohomology or shimura itself, so an lr command
 never loads cohomology or shimura, and a cohom command never loads
-shimura.
+shimura.  Parsers are built once per process per command path and
+reused by every later call on that path, so a caller that runs main
+many times only parses; a parser build_parser returns is shared, so
+callers must not modify it.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -431,15 +435,30 @@ _COMMANDS = {
 }
 
 
+# every command path build_parser can trim argv to: (), each group and
+# each (group, op)
+_PATHS = frozenset(key[:n] for key in _COMMANDS for n in range(3))
+
+
 def build_parser(argv=None):
     """The schubcalc parser, with every group but only the leaves under
     the longest (group, op) prefix of argv that names known choices, so
-    help and error messages read as with all leaves built."""
+    help and error messages read as with all leaves built.
+
+    The parser is built once per process per command path and shared by
+    every later call on that path, so callers must not modify it."""
+    path = tuple(argv or ())[:2]
+    while path not in _PATHS:
+        path = path[:-1]
+    return _parser(path)
+
+
+@functools.cache
+def _parser(path):
+    # keyed by the command path alone, never by argv, so the table holds
+    # at most the 30 entries of _PATHS
     top = argparse.ArgumentParser(prog="schubcalc")
     sub = top.add_subparsers(dest="command", required=True)
-    path = tuple(argv or ())[:2]
-    while path and not any(key[: len(path)] == path for key in _COMMANDS):
-        path = path[:-1]
     groups = {}
     for key, (fn, options) in _COMMANDS.items():
         group, op = key

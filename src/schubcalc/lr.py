@@ -10,7 +10,9 @@ Hall Polynomials, I.5): the heavier shape at the top right, its filling
 forced (row i holds only i's), and the lighter one at the bottom left.
 With the content left free, each filling of content mu adds 1 to
 c^mu_{lam,nu}; keeping the product inside an outer shape caps letter v
-at outer_v copies and the letters at len(outer).
+at outer_v copies and the letters at len(outer).  A product with the
+empty shape needs no search: the skew is then the other shape alone,
+straight, and its one filling is forced.
 
 Products of more than two shapes are iterated two at a time, with every
 partial product kept inside an optional outer shape: expand_product
@@ -223,10 +225,14 @@ def _expand_pair(lam, nu, outer):
     # outer is None), in graded order, with lam <= nu
     bot, top = sorted((lam, nu), key=sum)  # the heavier shape's filling is forced
     n = sum(top) + sum(bot)
-    terms = {}
-    if outer is None or (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
+    if outer is not None and not (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
+        terms = {}
+    elif not bot:
+        # a straight shape's one ballot filling puts only i's in row i
+        terms = {top: 1}
+    else:
         # one search over the skew top*bot (see the module docstring)
-        b = bot[0] if bot else 0
+        b = bot[0]
         s = SkewShape(tuple(t + b for t in top) + bot, (b,) * len(top))
         caps = (n,) * (len(top) + len(bot)) if outer is None else outer
         terms = _skew_terms(s, caps)

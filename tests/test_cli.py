@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -605,7 +606,11 @@ def test_parser_matches_the_full_parser(monkeypatch, capsys, argv):
     assert want[0] == ("parsed" if argv in _LEAF_ARGVS else "exit")
 
 
-def _parsers_built(monkeypatch, argv):
+def _parsers_built(monkeypatch, argv, clear=True):
+    # the parsers main builds for argv, from an empty table unless told
+    # to reuse what earlier calls built
+    if clear:
+        cli._parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -627,7 +632,62 @@ def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
     assert _parsers_built(monkeypatch, ["lr", "coeff", "--outer", "2,1", "--nu", "1"]) <= 7
     assert _parsers_built(monkeypatch, ["bogus"]) == 30
     assert _parsers_built(monkeypatch, ["lr", "--help"]) == 6 + 3
+    # a second identical call reuses the parser of its command path
+    argv = ["lr", "coeff", "--outer", "2,1", "--nu", "1"]
+    assert _parsers_built(monkeypatch, argv) <= 7
+    assert _parsers_built(monkeypatch, argv, clear=False) == 0
     capsys.readouterr()
+
+
+def _parse_in_main(monkeypatch, argv, capsys):
+    # the outcome of the parse inside main(argv), in _outcome's form; the
+    # handler's output, read after the parse, is returned apart
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        try:
+            ns = parse_args(self, *args, **kwargs)
+        except SystemExit as done:
+            seen.append(("exit", done.code) + capsys.readouterr())
+            raise
+        seen.append(("parsed", dict(vars(ns))) + capsys.readouterr())
+        return ns
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        try:
+            rc = main(list(argv))
+        except SystemExit:
+            rc = None
+    (parsed,) = seen
+    return parsed, (rc,) + capsys.readouterr()
+
+
+def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
+    # every argv three times, shuffled so that malformed calls come before
+    # valid ones on the same command path, with the parsers built at 80
+    # columns and reused at 30 and 200; help is wrapped when printed
+    argvs = _LEAF_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS
+    order = argvs * 3
+    random.Random(22).shuffle(order)
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = {}
+    for argv in order:
+        calls.setdefault(id(build_parser(list(argv))), []).append(argv)
+    assert len(calls) == 30
+    assert any(c[0] in _MALFORMED_ARGVS and set(c) & set(_LEAF_ARGVS) for c in calls.values())
+    for columns in ("80", "30", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        want = {argv: _outcome(_full_parser(), list(argv), capsys) for argv in argvs}
+        ran = {}
+        for argv in order:
+            parsed, after = _parse_in_main(monkeypatch, argv, capsys)
+            assert parsed == want[argv], (columns, argv)
+            # the handler, too, answers alike on every repeat
+            assert ran.setdefault(argv, after) == after, (columns, argv)
+    assert cli._parser.cache_info().currsize == 30
 
 
 def test_shimura_type_choices_are_the_flavors():

@@ -970,7 +970,8 @@ def test_coproduct_matches_recursive_oracle(cold_memo):
 
 def test_coproduct_searches_no_empty_or_straight_skew(monkeypatch, cold_memo):
     # a skew with no cells and a straight shape each have one ballot
-    # filling, row i holding only i's, so neither is searched
+    # filling, row i holding only i's, so neither is searched, in the
+    # coproduct walk or in a product with an empty factor
     searched = []
 
     def counting(s, caps):
@@ -985,8 +986,16 @@ def test_coproduct_searches_no_empty_or_straight_skew(monkeypatch, cold_memo):
     center_side, flanks = symmetric_chain_split(skew((5, 4, 3, 2, 1), (4, 3, 2, 1)))
     for reduce_map in (plus_part, minus_part):
         assert list(diagonal_splits(reduce_map((2, 2)), center_side, [(b, a) for a, b in flanks], reduce_map))
+    # products start from the empty shape, and a window may have no inner
+    # shape; the answers are pinned, as no filling is counted for them
+    assert expand_product([(2, 1), (1,), (1,)], (3, 3)) == {(3, 2): 2, (3, 1, 1): 2, (2, 2, 1): 2}
+    assert expand_product([(), (2,)]) == {(2,): 1}
+    assert multi_lr_coefficient((3, 2, 1), [(2, 1), (1, 1), (1,)]) == 3
+    assert multi_lr_coefficient((2, 1), [(2, 1)]) == 1
+    assert inscribes_witness((2, 1), skew((3, 2))) == (2, 1)
+    assert inscribes_witness((), skew((2, 1))) == ()
     assert searched
-    assert all(s.inner and size(s) for s in searched)
+    assert all(any(s.inner) and size(s) for s in searched)
     for lam in SHAPES_4x4:
         assert lr_mod._coproduct(lam, lam, ()) == {(): 1}
         assert lr_mod._coproduct(lam, (), ()) == ({} if lam else {(): 1})
