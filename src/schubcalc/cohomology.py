@@ -4,6 +4,14 @@ Classes are finite integer combinations of basis elements indexed by
 partitions inside the ambient rectangle; products build and count only
 the shapes inside the window, as the classes vanishing outside it are
 never formed.  Grading is by number of cells (complex codimension).
+
+The constructors (cohom_class, schubert_class, tensor_class) normalize
+and check every shape they are given.  A class they build, or one an
+operation here returns, is trusted: its keys are canonical shapes inside
+their boxes, so cup, cup_tensor, restrict_levi and dual_class_unitary
+build their results straight from the canonical keys of lr's private
+cores, with no second check.  A class built by hand must keep the same
+rule: canonical keys, each inside its box.
 """
 
 from operator import attrgetter
@@ -16,7 +24,7 @@ from .errors import (
     ShapeNotSymmetric,
     ShapeOutOfBox,
 )
-from .lr import _coproduct, diagonal_splits, expand_product, schur_expand
+from .lr import _coproduct, _expand, _product, diagonal_splits
 from .partition import (
     complement,
     conjugate,
@@ -136,7 +144,10 @@ def cohom_class(ambient, terms):
 
 
 def schubert_class(ambient, lam):
-    return cohom_class(ambient, {partition(lam): 1})
+    lam = partition(lam)
+    if not fits(lam, *ambient):
+        raise ShapeOutOfBox("%r outside %dx%d" % (lam, *ambient))
+    return CohomClass(tuple(ambient), {lam: 1})
 
 
 def unit(ambient):
@@ -162,18 +173,20 @@ def cup(x, y):
     """Product in the ambient window; only shapes inside it are built."""
     if x.ambient != y.ambient:
         raise AmbientMismatch("%r vs %r" % (x.ambient, y.ambient))
+    # _expand's keys are canonical shapes inside the window: no cohom_class check
     out = {}
     for lam, c1 in x.terms.items():
         for nu, c2 in y.terms.items():
-            for mu, c in schur_expand(lam, nu, x.ambient).items():
+            for mu, c in _expand(lam, nu, rect(*x.ambient)).items():
                 out[mu] = out.get(mu, 0) + c1 * c2 * c
-    return cohom_class(x.ambient, out)
+    return CohomClass(tuple(x.ambient), _normalize_terms(out, lambda kv: sort_key(kv[0])))
 
 
 def cup_tensor(x, y):
     """Componentwise product of tensor classes over matching blocks."""
     if x.factors != y.factors:
         raise AmbientMismatch("%r vs %r" % (x.factors, y.factors))
+    # _expand's keys are canonical shapes inside each block: no tensor_class check
     out = {}
     for lams, c1 in x.terms.items():
         for nus, c2 in y.terms.items():
@@ -181,12 +194,13 @@ def cup_tensor(x, y):
             for lam, nu, box in zip(lams, nus, x.factors):
                 grown = []
                 for prefix, c in partial:
-                    for mu, cc in schur_expand(lam, nu, box).items():
+                    for mu, cc in _expand(lam, nu, rect(*box)).items():
                         grown.append((prefix + (mu,), c * cc))
                 partial = grown
             for keys, c in partial:
                 out[keys] = out.get(keys, 0) + c1 * c2 * c
-    return tensor_class(x.factors, out)
+    factors = tuple(tuple(b) for b in x.factors)
+    return TensorClass(factors, _normalize_terms(out, lambda kv: tuple(map(sort_key, kv[0]))))
 
 
 def chern_t(ambient, k):
@@ -205,7 +219,7 @@ def chern_q(ambient, k):
 
 def poincare_pair(x, y):
     """Coefficient of the full-window class in the product."""
-    return cup(x, y).coefficient(rect(*x.ambient))
+    return cup(x, y).terms.get(rect(*x.ambient), 0)
 
 
 def _check_blocks(rects, rows, cols):
@@ -247,8 +261,10 @@ def dual_class_unitary(ambient, levi):
     support shape, normalized so the orbit itself appears with weight 1."""
     check_levi_unitary(ambient, levi)
     full = [rect(a, b) for a, b in levi.rects]
-    support = expand_product(full, ambient)
-    return cohom_class(ambient, {complement(nu, *ambient): m for nu, m in support.items()})
+    support = _product(full, rect(*ambient))
+    # complements of canonical shapes in the window: no cohom_class check
+    terms = {complement(nu, *ambient): m for nu, m in support.items()}
+    return CohomClass(tuple(ambient), _normalize_terms(terms, lambda kv: sort_key(kv[0])))
 
 
 def _require_square(ambient):

@@ -4,6 +4,14 @@ Every answer comes from tableau.ballot_fillings, the one ballot-filling
 engine; count_images and the tableau product and rectification are kept
 only as independent cross-checks.
 
+Each public function normalizes the shapes it is given with partition(),
+once.  The private cores below them (_expand, _product, _coproduct,
+_graded_product, _multi_coefficient, _witness and _inscribes_diagonal)
+take canonical tuples, check nothing, and return canonical keys, which
+callers trust in turn.  The cohomology and shimura layers call the cores
+directly with the shapes of pairs from make_pair or iter_pairs and of
+classes from the cohomology constructors, which are canonical already.
+
 A two-shape product is one ballot search over the disconnected skew
 nu*lam, as s_lam s_nu = s_{nu*lam} (Macdonald, Symmetric Functions and
 Hall Polynomials, I.5): the heavier shape at the top right, its filling
@@ -307,16 +315,24 @@ def expand_product(factors, box=None):
     restricted to the window.
     """
     outer = None if box is None else rect(*box)
-    acc = _product([partition(f) for f in factors], outer)
+    return _graded_product([partition(f) for f in factors], outer)
+
+
+def _graded_product(factors, outer):
+    # expand_product of canonical factors kept inside the shape outer
+    acc = _product(factors, outer)
     return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
 
 
 def multi_lr_coefficient(target, factors):
     """Multiplicity of target in the product of all the factors."""
-    target = partition(target)
-    cleaned = [partition(f) for f in factors]
+    return _multi_coefficient(partition(target), [partition(f) for f in factors])
+
+
+def _multi_coefficient(target, factors):
+    # multi_lr_coefficient of a canonical target and canonical factors;
     # largest first: the order picks which products are built and memoized
-    factors = sorted((f for f in cleaned if f), key=sort_key, reverse=True)
+    factors = sorted((f for f in factors if f), key=sort_key, reverse=True)
     if sum(target) != sum(sum(f) for f in factors):
         return 0
     # every partial product on a chain ending at target lies inside it,
@@ -376,8 +392,12 @@ def inscribes_witness(nu, s):
     """The least shape, in graded order, between s.inner and s.outer
     reached from s.inner by nu, or None: the first term of the memoized
     product of s.inner and nu kept inside s.outer."""
-    terms = _expand(partition(s.inner), partition(nu), partition(s.outer))
-    return next(iter(terms), None)
+    return _witness(partition(nu), partition(s.inner), partition(s.outer))
+
+
+def _witness(nu, inner, outer):
+    # inscribes_witness of canonical shapes, inner inside outer
+    return next(iter(_expand(inner, nu, outer)), None)
 
 
 def inscribes(nu, s):
@@ -431,11 +451,14 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
                     )
 
 
-def _inscribes_diagonal(nu, s, reduce_map):
+def _inscribes_diagonal(nu, s, reduce_map, given):
+    # the first diagonal witness of a canonical nu; given is nu as the
+    # caller passed it, for the error
+    if not is_symmetric(nu):
+        raise ShapeNotSymmetric("%r is not symmetric" % (given,))
     center_side, flanks = symmetric_chain_split(s)
     boxes = [(b, a) for a, b in flanks]  # factor for an a x b flank lives in b x a
-    splits = diagonal_splits(reduce_map(partition(nu)), center_side, boxes, reduce_map)
-    return next(splits, None)
+    return next(diagonal_splits(reduce_map(nu), center_side, boxes, reduce_map), None)
 
 
 def inscribes_symmetric(nu, s):
@@ -444,13 +467,9 @@ def inscribes_symmetric(nu, s):
     nu and s must both be symmetric.  Returns a witness (center shape,
     flank shapes, orientations) or None.
     """
-    if not is_symmetric(partition(nu)):
-        raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
-    return _inscribes_diagonal(nu, s, plus_part)
+    return _inscribes_diagonal(partition(nu), s, plus_part, nu)
 
 
 def inscribes_antisymmetric(nu, s):
     """Like inscribes_symmetric but through the strict-arm reduction."""
-    if not is_symmetric(partition(nu)):
-        raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
-    return _inscribes_diagonal(nu, s, minus_part)
+    return _inscribes_diagonal(partition(nu), s, minus_part, nu)

@@ -5,7 +5,13 @@ empty partition.  Rectangles are (rows, cols) pairs.  Text form is a
 comma list like "5,3,3,2" (empty string for ()), and "AxB" for boxes.
 
 All functions assume canonical tuples (no trailing zeros); use
-partition() to normalize untrusted input.
+partition() to normalize untrusted input.  The trust rule the library
+keeps: a public function normalizes each shape its caller passes in,
+once, with partition(), and canonical tuples travel inward from there.
+A shape built from canonical shapes is canonical and is not checked
+again: complement, plus_part, minus_part, bar_closure, check_reduction,
+from_plus_part and from_minus_part return their shapes through _trim,
+which drops trailing zeros and checks nothing.
 """
 
 import math
@@ -13,11 +19,17 @@ import math
 from .errors import NotSymmetric, ShapeOutOfBox
 
 
+def _trim(parts):
+    # the tuple less its trailing zeros, with nothing else checked
+    n = len(parts)
+    while n and parts[n - 1] == 0:
+        n -= 1
+    return parts[:n]
+
+
 def partition(parts):
     """Normalize to a canonical partition tuple, validating monotonicity."""
-    parts = tuple(map(int, parts))
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    parts = _trim(tuple(map(int, parts)))
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -100,7 +112,7 @@ def complement(lam, rows, cols):
     if not fits(lam, rows, cols):
         raise ShapeOutOfBox("%r does not fit in %dx%d" % (lam, rows, cols))
     padded = lam + (0,) * (rows - len(lam))
-    return partition(cols - padded[rows - 1 - i] for i in range(rows))
+    return _trim(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
 
 
 def is_symmetric(lam):
@@ -121,7 +133,7 @@ def plus_part(lam):
     contributes max(0, lam_i - i + 1).  Defined for symmetric lam only."""
     if not is_symmetric(lam):
         raise NotSymmetric("%r is not symmetric" % (lam,))
-    return partition(max(0, p - i) for i, p in enumerate(lam))
+    return _trim(tuple(max(0, p - i) for i, p in enumerate(lam)))
 
 
 def minus_part(lam):
@@ -129,21 +141,21 @@ def minus_part(lam):
     max(0, lam_i - i).  Defined for symmetric lam only."""
     if not is_symmetric(lam):
         raise NotSymmetric("%r is not symmetric" % (lam,))
-    return partition(max(0, p - i) for i, p in enumerate(lam, start=1))
+    return _trim(tuple(max(0, p - i) for i, p in enumerate(lam, start=1)))
 
 
 def bar_closure(lam):
     """Grow a symmetric lam by one cell in every row meeting the diagonal."""
     if not is_symmetric(lam):
         raise NotSymmetric("%r is not symmetric" % (lam,))
-    return partition(p + 1 if p >= i else p for i, p in enumerate(lam, start=1))
+    return _trim(tuple(p + 1 if p >= i else p for i, p in enumerate(lam, start=1)))
 
 
 def check_reduction(lam):
     """Shrink a symmetric lam by one cell in every row meeting the diagonal."""
     if not is_symmetric(lam):
         raise NotSymmetric("%r is not symmetric" % (lam,))
-    return partition(p - 1 if p >= i else p for i, p in enumerate(lam, start=1))
+    return _trim(tuple(p - 1 if p >= i else p for i, p in enumerate(lam, start=1)))
 
 
 def _from_diagonal_hooks(strict, arm):
@@ -159,7 +171,7 @@ def _from_diagonal_hooks(strict, arm):
     if not cells:
         return ()
     nrows = max(r for r, _ in cells)
-    return partition(sum(1 for r, _ in cells if r == i) for i in range(1, nrows + 1))
+    return _trim(tuple(sum(1 for r, _ in cells if r == i) for i in range(1, nrows + 1)))
 
 
 def from_plus_part(strict):
