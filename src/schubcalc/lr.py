@@ -451,12 +451,17 @@ def diagonal_splits(base, center_side, boxes, reduce_map):
                     )
 
 
-def _inscribes_diagonal(nu, s, reduce_map, given):
-    # the first diagonal witness of a canonical nu; given is nu as the
-    # caller passed it, for the error
+def _symmetric(nu, given):
+    # a canonical nu, refused unless symmetric; given is nu as the caller
+    # passed it, for the error
     if not is_symmetric(nu):
         raise ShapeNotSymmetric("%r is not symmetric" % (given,))
-    center_side, flanks = symmetric_chain_split(s)
+    return nu
+
+
+def _inscribes_diagonal(nu, center_side, flanks, reduce_map):
+    # the first diagonal witness of a canonical symmetric nu in the
+    # symmetric chain split into center_side and flanks
     boxes = [(b, a) for a, b in flanks]  # factor for an a x b flank lives in b x a
     return next(diagonal_splits(reduce_map(nu), center_side, boxes, reduce_map), None)
 
@@ -464,12 +469,12 @@ def _inscribes_diagonal(nu, s, reduce_map, given):
 def inscribes_symmetric(nu, s):
     """Diagonal-symmetric inscription through the hook-arm reduction.
 
-    nu and s must both be symmetric.  Returns a witness (center shape,
-    flank shapes, orientations) or None.
+    nu and s must both be symmetric; nu is checked first.  Returns a
+    witness (center shape, flank shapes, orientations) or None.
     """
-    return _inscribes_diagonal(partition(nu), s, plus_part, nu)
+    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), plus_part)
 
 
 def inscribes_antisymmetric(nu, s):
     """Like inscribes_symmetric but through the strict-arm reduction."""
-    return _inscribes_diagonal(partition(nu), s, minus_part, nu)
+    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), minus_part)

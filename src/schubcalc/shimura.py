@@ -9,7 +9,8 @@ enumerate holomorphic families for the two square-window types.
 A CompatiblePair from make_pair or iter_pairs is trusted: its lam and
 mu are canonical and already checked, so the criteria pass them straight
 to lr's private cores and normalize only the other shapes their callers
-pass in, once each.  A pair built by hand must hold canonical shapes.
+pass in, once each.  A pair built by hand must hold canonical shapes and
+its chain: the criteria read the pair's blocks off pair.chain, not its skew.
 """
 
 import itertools
@@ -23,18 +24,16 @@ from .errors import (
     InputTooLarge,
     InvariantViolated,
     LeviDoesNotFit,
-    ShapeNotSymmetric,
     ShapeOutOfBox,
     TrivialPairExcluded,
 )
-from .lr import _graded_product, _inscribes_diagonal, _multi_coefficient, _witness
+from .lr import _graded_product, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
 from .partition import (
     complement,
     contains,
     enumerate_in_rectangle,
     fits,
-    is_symmetric,
     minus_part,
     partition,
     plus_part,
@@ -42,10 +41,12 @@ from .partition import (
     staircase,
     weight,
 )
-from .skew import SkewShape, rectangle_decomposition, skew, symmetric_chain_split
+from .skew import SkewShape, _diagonal_split, rectangle_decomposition, skew
 
 FLAVORS = ("unitary", "symplectic", "orthogonal")
 MAX_PAIR_ROWS = 900  # a 900 x 1 or 1 x 900 window holds 406,351 pairs, 0.74 GB as JSON
+# the diagonal reduction of each square flavor
+_REDUCTIONS = {"symplectic": plus_part, "orthogonal": minus_part}
 
 
 class CompatiblePair(_Record):
@@ -83,8 +84,7 @@ def make_pair(lam, mu, ambient, flavor="unitary"):
     _check_flavor(ambient, flavor)
     if flavor != "unitary":
         for shape in (lam, mu):
-            if not is_symmetric(shape):
-                raise ShapeNotSymmetric("%r is not symmetric" % (shape,))
+            _symmetric(shape, shape)
     if not fits(mu, *ambient):
         raise ShapeOutOfBox("%r outside %dx%d" % (mu, *ambient))
     if not contains(lam, mu):
@@ -186,9 +186,7 @@ def mu_hat(pair):
 def _degree(shape, flavor):
     if flavor == "unitary":
         return weight(shape)
-    if flavor == "symplectic":
-        return weight(plus_part(shape))
-    return weight(minus_part(shape))
+    return weight(_REDUCTIONS[flavor](shape))
 
 
 def _codegree(mu, ambient, flavor):
@@ -207,7 +205,7 @@ def levi_shape(pair):
     """The block subgroup the chain of the pair cuts out."""
     if pair.flavor == "unitary":
         return LeviShape(tuple(pair.chain), None)
-    center, flanks = symmetric_chain_split(pair.skew)
+    center, flanks = _diagonal_split(pair.chain)
     return LeviShape(tuple(flanks), center)
 
 
@@ -223,8 +221,8 @@ def chern_action_nonzero(nu, pair):
         if mu_prime is None:
             return None
         return {"mu_prime": mu_prime}
-    reduce_map = plus_part if pair.flavor == "symplectic" else minus_part
-    w = _inscribes_diagonal(nu, pair.skew, reduce_map, nu)
+    levi = levi_shape(pair)
+    w = _inscribes_diagonal(_symmetric(nu, nu), levi.center, levi.rects, _REDUCTIONS[pair.flavor])
     if w is None:
         return None
     return {"orientation": w.orientation, "center": w.center, "gammas": w.gammas}
@@ -445,18 +443,16 @@ def enumerate_components(pair):
     flavors carry a symmetric center index as well and no bidegree
     bookkeeping.
     """
+    levi = levi_shape(pair)
+    choices = [enumerate_in_rectangle(a, b) for a, b in levi.rects]
     out = []
     if pair.flavor == "unitary":
         i0, j0 = vz_bidegree(pair)
-        choices = [enumerate_in_rectangle(a, b) for a, b in pair.chain]
         for nus in itertools.product(*choices):
             shift = sum(weight(nu) for nu in nus)
             out.append(VZComponent(pair, nus, None, (i0 + shift, j0 + shift)))
         return out
-    center, flanks = symmetric_chain_split(pair.skew)
-    centers = enumerate_in_rectangle(center, center, symmetric_only=True)
-    choices = [enumerate_in_rectangle(a, b) for a, b in flanks]
-    for nu0 in centers:
+    for nu0 in enumerate_in_rectangle(levi.center, levi.center, symmetric_only=True):
         for nus in itertools.product(*choices):
             out.append(VZComponent(pair, nus, nu0, None))
     return out
@@ -479,7 +475,7 @@ class OstarComponent(NamedTuple):
 
 def _ostar_shapes(p):
     for r in range(p + 1):
-        yield "R", r, partition((p,) * r + (r,) * (p - r))
+        yield "R", r, symmetric_fat_hook(p, r)
     for s in range(p):
         yield "S", s, partition((p,) * s + (p - 1,) * (p - s - 1) + (s,))
 

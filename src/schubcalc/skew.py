@@ -133,29 +133,26 @@ def concat(factors):
     return SkewShape(partition(outer), partition(inner))
 
 
+def _diagonal_split(chain):
+    # (center, flanks) of a symmetric skew's chain.  Transposing the skew
+    # fixes it and takes block i, a x b, to block n-1-i, b x a.  So only a
+    # block that goes to itself, an odd chain's middle one, meets the
+    # diagonal, as a square on it; the first n // 2 blocks are the flanks.
+    n = len(chain)
+    return (chain[n // 2][0] if n % 2 else 0), chain[: n // 2]
+
+
 def symmetric_chain_split(s):
     """Split a symmetric chain about the diagonal.
 
     Returns (center, flanks): the side of the diagonal block (0 when
     absent) and the (rows, cols) sizes of the strictly-above-diagonal
     blocks, top right first.  Below-diagonal blocks are their mirrors.
+    It halves the chain, as shimura.levi_shape halves each pair's pair.chain.
     """
     if not (is_symmetric(s.outer) and is_symmetric(s.inner)):
         raise ShapeNotSymmetric("skew %s is not symmetric" % (format_skew(s),))
-    runs = _runs(s)
-    if runs is None:
+    chain = rectangle_decomposition(s)
+    if chain is None:
         raise IncompatiblePair("skew %s is not a rectangle chain" % (format_skew(s),))
-    center = 0
-    above, below = [], []
-    for r in runs:
-        if r.top == r.lo + 1 and r.bottom == r.hi:
-            center = r.bottom - r.top + 1
-        elif r.lo + 1 > r.bottom:
-            above.append(r)
-        else:
-            below.append(r)
-    mirrored = [_Run(r.lo + 1, r.hi, r.top - 1, r.bottom) for r in reversed(below)]
-    if above != mirrored:
-        # cannot happen for symmetric input; guards future misuse
-        raise ShapeNotSymmetric("blocks of %s are not mirror paired" % (format_skew(s),))
-    return center, [(r.bottom - r.top + 1, r.hi - r.lo) for r in above]
+    return _diagonal_split(chain)

@@ -5,10 +5,15 @@ constructors.
 
 The bodies these functions had while every layer re-normalized its
 shapes are kept here as oracles (_*_renormalizing); tests/deep runs them
-exhaustively.
+exhaustively.  So are the bodies from before a symmetric chain's split
+about the diagonal was read off the chain (*_mirroring): they pair the
+runs above the diagonal with the mirrors of those below, and re-split
+each pair's skew.
 """
 
+import itertools
 import sys
+from collections import Counter
 
 import pytest
 
@@ -27,7 +32,14 @@ from schubcalc.cohomology import (
     schubert_class,
     tensor_class,
 )
-from schubcalc.errors import AmbientMismatch, LeviDoesNotFit, NotSymmetric, ShapeNotSymmetric, ShapeOutOfBox
+from schubcalc.errors import (
+    AmbientMismatch,
+    IncompatiblePair,
+    LeviDoesNotFit,
+    NotSymmetric,
+    ShapeNotSymmetric,
+    ShapeOutOfBox,
+)
 from schubcalc.lr import (
     expand_product,
     inscribes,
@@ -42,6 +54,7 @@ from schubcalc.partition import (
     check_reduction,
     complement,
     contains,
+    enumerate_in_rectangle,
     fits,
     from_minus_part,
     from_plus_part,
@@ -52,18 +65,25 @@ from schubcalc.partition import (
     plus_part,
     rect,
     staircase,
+    weight,
 )
 from schubcalc.shimura import (
+    VZComponent,
     chern_action_nonzero,
+    count_components,
+    enumerate_components,
     gsp_stable_criterion,
     injectivity_gsp,
     injectivity_unitary,
     kunneth_vanishing,
     enumerate_pairs,
+    levi_shape,
     make_pair,
     mu_hat,
+    vz_bidegree,
 )
-from schubcalc.skew import SkewShape, skew, symmetric_chain_split
+from schubcalc.skew import SkewShape, _Run, format_skew, skew, symmetric_chain_split
+from test_skew import _runs_by_row_extension
 
 # ------------------------------------------------------------- oracles
 
@@ -142,7 +162,7 @@ def inscribes_witness_renormalizing(nu, s):
 
 
 def _inscribes_diagonal_renormalizing(nu, s, reduce_map):
-    center_side, flanks = symmetric_chain_split(s)
+    center_side, flanks = symmetric_chain_split_mirroring(s)
     boxes = [(b, a) for a, b in flanks]
     splits = lr_mod.diagonal_splits(reduce_map(partition(nu)), center_side, boxes, reduce_map)
     return next(splits, None)
@@ -262,6 +282,60 @@ def kunneth_vanishing_renormalizing(pair, factor_pairs):
     left = multi_lr_coefficient_renormalizing(pair.lam, lams)
     right = multi_lr_coefficient_renormalizing(complement_renormalizing(pair.mu, *pair.ambient), tops)
     return left * right == 0
+
+
+def symmetric_chain_split_mirroring(s):
+    # its runs come from the row-extension oracle, not from skew._runs
+    if not (is_symmetric(s.outer) and is_symmetric(s.inner)):
+        raise ShapeNotSymmetric("skew %s is not symmetric" % (format_skew(s),))
+    runs = _runs_by_row_extension(s)
+    if runs is None:
+        raise IncompatiblePair("skew %s is not a rectangle chain" % (format_skew(s),))
+    center = 0
+    above, below = [], []
+    for r in runs:
+        if r.top == r.lo + 1 and r.bottom == r.hi:
+            center = r.bottom - r.top + 1
+        elif r.lo + 1 > r.bottom:
+            above.append(r)
+        else:
+            below.append(r)
+    mirrored = [_Run(r.lo + 1, r.hi, r.top - 1, r.bottom) for r in reversed(below)]
+    if above != mirrored:
+        raise ShapeNotSymmetric("blocks of %s are not mirror paired" % (format_skew(s),))
+    return center, [(r.bottom - r.top + 1, r.hi - r.lo) for r in above]
+
+
+def levi_shape_mirroring(pair):
+    if pair.flavor == "unitary":
+        return LeviShape(tuple(pair.chain), None)
+    center, flanks = symmetric_chain_split_mirroring(pair.skew)
+    return LeviShape(tuple(flanks), center)
+
+
+def enumerate_components_mirroring(pair):
+    out = []
+    if pair.flavor == "unitary":
+        i0, j0 = vz_bidegree(pair)
+        choices = [enumerate_in_rectangle(a, b) for a, b in pair.chain]
+        for nus in itertools.product(*choices):
+            shift = sum(weight(nu) for nu in nus)
+            out.append(VZComponent(pair, nus, None, (i0 + shift, j0 + shift)))
+        return out
+    center, flanks = symmetric_chain_split_mirroring(pair.skew)
+    centers = enumerate_in_rectangle(center, center, symmetric_only=True)
+    choices = [enumerate_in_rectangle(a, b) for a, b in flanks]
+    for nu0 in centers:
+        for nus in itertools.product(*choices):
+            out.append(VZComponent(pair, nus, nu0, None))
+    return out
+
+
+def count_components_mirroring(pair, bidegree=None):
+    if bidegree is None:
+        return len(enumerate_components_mirroring(pair))
+    bidegree = tuple(bidegree)
+    return sum(1 for c in enumerate_components_mirroring(pair) if c.bidegree == bidegree)
 
 
 def outcome(fn, *args):
@@ -463,3 +537,47 @@ def test_kunneth_vanishing_matches_the_renormalizing_oracle_3x3():
         for l, m in nested:
             for blocks in ([((2, 2), l, m)], [((1, 1), (), (1,)), ((2, 2), l, m)]):
                 same_outcome(kunneth_vanishing, kunneth_vanishing_renormalizing, pair, blocks)
+
+
+# ------------------------------------------ the split about the diagonal
+
+
+def test_symmetric_chain_split_matches_the_mirroring_oracle_6x6():
+    shapes = enumerate_in_rectangle(6, 6)
+    seen = Counter()
+    for outer in shapes:
+        for inner in shapes:
+            if contains(inner, outer):
+                s = SkewShape(outer, inner)
+                got, want = outcome(symmetric_chain_split, s), outcome(symmetric_chain_split_mirroring, s)
+                assert (got, repr(got)) == (want, repr(want)), s
+                seen[got[0]] += 1
+    # symmetric chains, symmetric non-chains and asymmetric skews
+    assert set(seen) == {"returned", IncompatiblePair, ShapeNotSymmetric}, seen
+
+
+def _component_checks(pair):
+    same_outcome(levi_shape, levi_shape_mirroring, pair)
+    same_outcome(enumerate_components, enumerate_components_mirroring, pair)
+    same_outcome(count_components, count_components_mirroring, pair)
+    # every bidegree the pair's pieces have, as a list too, and one they lack
+    bidegrees = {c.bidegree for c in enumerate_components_mirroring(pair)} - {None}
+    for bidegree in sorted(bidegrees) + [[0, 0], (-1, -1)]:
+        same_outcome(count_components, count_components_mirroring, pair, bidegree)
+
+
+@pytest.mark.parametrize("flavor", ["symplectic", "orthogonal"])
+def test_square_flavor_criteria_match_the_mirroring_oracles_5x5(flavor):
+    for n in range(1, 6):
+        nus = enumerate_in_rectangle(n, n, symmetric_only=True)
+        for pair in enumerate_pairs((n, n), flavor):
+            _component_checks(pair)
+            for nu in nus:
+                same_outcome(chern_action_nonzero, chern_action_nonzero_renormalizing, nu, pair)
+
+
+def test_unitary_components_match_the_mirroring_oracles_4x4():
+    for p in range(1, 5):
+        for q in range(1, 5):
+            for pair in enumerate_pairs((p, q)):
+                _component_checks(pair)
