@@ -58,13 +58,13 @@ def _parse_factors(text):
     return [_parse_factor(tok) for tok in text.split("*")]
 
 
-def _parse_levi(text, center=None):
+def _parse_levi(text):
     from . import cohomology
     rects = []
     text = text.strip()
     if text:
         rects = [parse_box(tok) for tok in text.split("*")]
-    return cohomology.LeviShape(tuple(rects), center)
+    return cohomology.LeviShape(tuple(rects))
 
 
 def _parse_factor_pairs(text):

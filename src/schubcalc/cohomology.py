@@ -245,10 +245,6 @@ def restrict_levi(x, levi):
     rects = tuple(map(tuple, levi.rects))
     # _coproduct builds each block shape inside its box, so the terms
     # skip tensor_class's checks
-    if len(x.terms) == 1:
-        # _coproduct keeps its terms in graded order: no sort needed
-        ((lam, c),) = x.terms.items()
-        return TensorClass(rects, {alphas: c * m for alphas, m in _coproduct(lam, (), rects).items()} if c else {})
     out = {}
     for lam, c in x.terms.items():
         for alphas, m in _coproduct(lam, (), rects).items():

@@ -60,22 +60,27 @@ the cache file are keyed by the least of the four keys, but a miss
 counts the fillings in the cheapest orientation: the lighter lower
 shape as the content, so the skew has the fewer cells, then all three
 conjugated if that content has more rows than columns, so the fillings
-use fewer letters.  A miss can be answered from a plain-text
-cache file named by the SCHUBERT_CACHE_DIR environment variable (a
-directory gets a lr-cache.txt inside it; anything else is taken as the
-file itself); products never read or write it.  Each line is
-"OUTER;INNER;CONTENT VALUE" with the key in canonical form, as _key_text
-writes it.  The file is read once per path into an index from key text
-to value, without parsing any shape: a line is matched by its exact
-canonical text, the first line whose value is a run of ASCII digits
-wins, and any other line, such as one with a signed value or a
-non-canonical key, is ignored, so its coefficient is recomputed and
-appended in canonical form.  _coefficient is memoized by key and path,
-so a value read from one file stops answering once SCHUBERT_CACHE_DIR
-names another file or none.  Appends use O_APPEND and stay atomic only
-for lines shorter than PIPE_BUF.  Reads are plain dict lookups, so
-sharing the table across threads is safe; writers append whole lines
-only.
+use fewer letters.  _coefficient holds counted values only, keyed by
+the canonical key alone, so a coefficient is counted at most once per
+process.
+
+lr_coefficient alone touches the plain-text cache file named by the
+SCHUBERT_CACHE_DIR environment variable (a directory gets a
+lr-cache.txt inside it; anything else is taken as the file itself);
+products never read or write it.  Each line is "OUTER;INNER;CONTENT
+VALUE" with the key in canonical form, as _key_text writes it.  The
+file is read into one index from key text to value, without parsing
+any shape: a line is matched by its exact canonical text, the first
+line whose value is a run of ASCII digits wins, and any other line,
+such as one with a signed value or a non-canonical key, is ignored.  A
+key the index misses takes its value from _coefficient, appended to
+the file in canonical form and put in the index, so each key is
+appended at most once per process.  _read_index holds one file's index
+at a time, so a value read from a file answers only while
+SCHUBERT_CACHE_DIR names that file.  Appends use O_APPEND and stay
+atomic only for lines shorter than PIPE_BUF.  Reads are plain dict
+lookups, so sharing the tables across threads is safe; writers append
+whole lines only.
 """
 
 import functools
@@ -107,9 +112,6 @@ class LRKey(NamedTuple):
     content: tuple
 
 
-_loaded = None  # (path, {key text: value}) of the cache file last read
-
-
 def _cache_path():
     root = os.environ.get("SCHUBERT_CACHE_DIR")
     if not root:
@@ -128,9 +130,11 @@ def _key_text(key):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _read_index(path):
-    # {key text: value}, without parsing any shape; the first line whose
-    # value is a run of ASCII digits wins, anything else is skipped
+    # {key text: value} of the file at path, without parsing any shape;
+    # the first line whose value is a run of ASCII digits wins, anything
+    # else is skipped; one file's index is kept at a time
     index = {}
     try:
         with open(path) as fh:
@@ -141,15 +145,6 @@ def _read_index(path):
     except OSError:
         pass
     return index
-
-
-def _sync_cache(path):
-    # the path and index travel together, so that an index is only ever
-    # consulted for the file it was read from
-    global _loaded
-    if _loaded is None or _loaded[0] != path:
-        _loaded = (path, _read_index(path) if path else {})
-    return _loaded[1]
 
 
 def _persist(path, text, value):
@@ -187,30 +182,30 @@ def lr_coefficient(outer, inner, content):
         return 0
     if sum(outer) != sum(inner) + sum(content):
         return 0
-    return _coefficient(_canonical_key(outer, inner, content), _cache_path())
+    key = _canonical_key(outer, inner, content)
+    path = _cache_path()
+    if not path:
+        return _coefficient(key)
+    index, text = _read_index(path), _key_text(key)
+    value = index.get(text)
+    if value is None:
+        value = index[text] = _coefficient(key)
+        _persist(path, text, value)
+    return value
 
 
 @functools.cache
-def _coefficient(key, path):
-    # the coefficient of a canonical key whose lower shapes both lie
-    # inside its outer one, from the cache file at path or counted; the
-    # memo is keyed by the path too, so a value read from one file never
-    # answers once SCHUBERT_CACHE_DIR names another or is unset
-    index = _sync_cache(path)
-    text = _key_text(key) if path else None
-    value = index.get(text)
-    if value is None:
-        # count in the cheapest orientation (see the module docstring)
-        keys = _orientations(*key)
-        k = 1 if sum(key.content) > sum(key.inner) else 0
-        light = keys[k].content
-        if light and len(light) > light[0]:
-            k += 2
-        o, i, c = keys[k]
-        value = sum(1 for _ in ballot_fillings(SkewShape(o, i), c))
-        if path:
-            _persist(path, text, value)
-    return value
+def _coefficient(key):
+    # the counted coefficient of a canonical key whose lower shapes both
+    # lie inside its outer one, in the cheapest orientation (see the
+    # module docstring)
+    keys = _orientations(*key)
+    k = 1 if sum(key.content) > sum(key.inner) else 0
+    light = keys[k].content
+    if light and len(light) > light[0]:
+        k += 2
+    o, i, c = keys[k]
+    return sum(1 for _ in ballot_fillings(SkewShape(o, i), c))
 
 
 def _skew_terms(s, caps):

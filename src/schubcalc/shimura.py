@@ -16,7 +16,7 @@ its chain: the criteria read the pair's blocks off pair.chain, not its skew.
 import itertools
 from typing import NamedTuple
 
-from .cohomology import LeviShape, _Record, _set_field, check_levi_unitary
+from .cohomology import LeviShape, _check_blocks, _Record, _set_field, check_levi_unitary
 from .errors import (
     AmbientNotSquare,
     BoundExceeded,
@@ -313,13 +313,12 @@ def kunneth_vanishing(pair, factor_pairs):
     """Whether the product of blockwise multiplicities is forced to zero.
 
     factor_pairs lists (box, lam_i, mu_i) per block; the second factor
-    uses the complements of the mu_i inside their own boxes.
+    uses the complements of the mu_i inside their own boxes.  The boxes
+    are Levi blocks: positive sides, side by side in the ambient window.
     """
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
-    boxes = [tuple(box) for box, _, _ in factor_pairs]
-    if sum(a for a, _ in boxes) > pair.ambient[0] or sum(b for _, b in boxes) > pair.ambient[1]:
-        raise LeviDoesNotFit("blocks exceed the ambient window")
+    _check_blocks([box for box, _, _ in factor_pairs], *pair.ambient)
     lams, tops = [], []
     for box, l, m in factor_pairs:
         l, m = partition(l), partition(m)

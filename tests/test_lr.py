@@ -57,8 +57,9 @@ from schubcalc.tableau import ballot_fillings
 SHAPES_3x3 = enumerate_in_rectangle(3, 3)
 SHAPES_4x4 = enumerate_in_rectangle(4, 4)
 
-# every memoized helper of lr, each with its own functools.cache table
-MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod._centers)
+# every memoized helper of lr, each with its own functools.cache table,
+# and the cache file's index
+MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod._centers, lr_mod._read_index)
 
 
 def _clear_memo():
@@ -199,7 +200,6 @@ def test_canonical_key_matches_reference_4x4():
 def test_cache_lines_from_older_versions_still_match(tmp_path, monkeypatch, cold_memo):
     # lines as earlier versions wrote them, with made-up values so that
     # only a key match can return them
-    monkeypatch.setattr(lr_mod, "_loaded", None)
     target = tmp_path / "lr-cache.txt"
     target.write_text(
         "5,4,4,3,3,2,1,1;3,2,2,1;4,4,3,2,1,1 9011\n"
@@ -905,7 +905,7 @@ def test_restrict_levi_matches_full_box_scan_5x5(case):
     assert list(got.terms.items()) == _restrict_by_full_box_scan(lam, rects)
 
 
-def test_warm_restrictions_search_only_the_centers(monkeypatch, fresh_cache):
+def test_warm_restrictions_search_only_the_centers(monkeypatch, cold_memo):
     calls = []
 
     def counting(s, caps):
@@ -1075,7 +1075,7 @@ def _restrict_levi_sorting(x, levi):
     return list(sorted(clean.items(), key=lambda kv: tuple(map(sort_key, kv[0]))))
 
 
-def test_restrict_levi_matches_sorting_oracle_5x5(fresh_cache, cold_memo):
+def test_restrict_levi_matches_sorting_oracle_5x5(cold_memo):
     # every class of the 5x5 box, and per Levi one class of many terms
     # and one term with coefficient 0, restricted to every Levi of one to
     # three blocks, terms in order
@@ -1231,7 +1231,7 @@ def _diagonal_cases(most):
     return cases
 
 
-def test_diagonal_splits_match_unmemoized_oracle(fresh_cache, cold_memo):
+def test_diagonal_splits_match_unmemoized_oracle(cold_memo):
     # plus the one target/center of the p <= 6 windows, (2, 1) over (1),
     # whose expansion does not come out in graded order
     cases = _diagonal_cases(4) + [((2, 1), 1, ((1, 1), (2, 1)), plus_part)]
@@ -1242,13 +1242,13 @@ def test_diagonal_splits_match_unmemoized_oracle(fresh_cache, cold_memo):
         cold_memo()
         assert list(diagonal_splits(*case)) == w, case
         assert list(diagonal_splits(*case)) == w, case
-    # one memo for every case, as fresh_cache leaves it, then warm
+    # one memo for every case, as cold_memo leaves it, then warm
     cold_memo()
     assert [list(diagonal_splits(*case)) for case in cases] == want
     assert [list(diagonal_splits(*case)) for case in cases] == want
 
 
-def test_interleaved_diagonal_searches_agree(fresh_cache, cold_memo):
+def test_interleaved_diagonal_searches_agree(cold_memo):
     # two generators on one key, stepped in turn from a cold memo: the
     # first fills the memo entries the second then reads
     for case in _diagonal_cases(4):
@@ -1258,7 +1258,7 @@ def test_interleaved_diagonal_searches_agree(fresh_cache, cold_memo):
         assert got_first == got_second == list(_diagonal_splits_unmemoized(*case)), case
 
 
-def test_symplectic_support_matches_unmemoized_oracle(fresh_cache):
+def test_symplectic_support_matches_unmemoized_oracle(cold_memo):
     # all 1,842 support lists of p <= 4 on one shared memo
     count = 0
     for p in range(1, 5):
@@ -1300,13 +1300,7 @@ def _eager_table(path):
     return table
 
 
-@pytest.fixture
-def fresh_cache(monkeypatch, cold_memo):
-    # an empty memo and no cache file read yet
-    monkeypatch.setattr(lr_mod, "_loaded", None)
-
-
-def test_cache_file_created_and_parseable(tmp_path, monkeypatch, fresh_cache):
+def test_cache_file_created_and_parseable(tmp_path, monkeypatch, cold_memo):
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
     value = lr_coefficient((7, 5, 2), (4, 1), (5, 3, 1))
     path = tmp_path / "lr-cache.txt"
@@ -1317,7 +1311,7 @@ def test_cache_file_created_and_parseable(tmp_path, monkeypatch, fresh_cache):
     assert parsed[key] == value
 
 
-def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch, fresh_cache):
+def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch, cold_memo):
     target = tmp_path / "seeded.txt"
     key = lr_mod._canonical_key((5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2))
     target.write_text(
@@ -1332,7 +1326,7 @@ def test_cache_preload_wins_and_skips_garbage(tmp_path, monkeypatch, fresh_cache
     assert lr_coefficient((5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)) == 7777
 
 
-def test_cache_env_can_name_a_file(tmp_path, monkeypatch, fresh_cache):
+def test_cache_env_can_name_a_file(tmp_path, monkeypatch, cold_memo):
     target = tmp_path / "mycache.txt"
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))
@@ -1342,7 +1336,7 @@ def test_cache_env_can_name_a_file(tmp_path, monkeypatch, fresh_cache):
     assert v == lr_coefficient((7, 6, 2), (4, 1), (5, 3, 2))
 
 
-def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache, cold_memo):
+def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, cold_memo):
     target = tmp_path / "lr-cache.txt"
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(target))
     for lam in SHAPES_3x3:
@@ -1373,7 +1367,6 @@ def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache, co
     assert table[no_newline] == 333
     before = target.read_bytes()
     cold_memo()
-    monkeypatch.setattr(lr_mod, "_loaded", None)
     checked = 0
     for key, value in table.items():
         if key == lr_mod._canonical_key(*key):
@@ -1384,7 +1377,7 @@ def test_cache_index_matches_eager_loader(tmp_path, monkeypatch, fresh_cache, co
     assert target.read_bytes() == before
 
 
-def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache, cold_memo):
+def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, cold_memo):
     # the one change from the eager loader: a line the program would not
     # have written is not trusted, and the count is appended instead
     args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
@@ -1406,7 +1399,7 @@ def test_cache_ignores_non_canonical_lines(tmp_path, monkeypatch, fresh_cache, c
         ]
 
 
-def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache, cold_memo):
+def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, cold_memo):
     # int() takes a sign and underscores, which the program never writes:
     # such a value is not trusted, and the count is appended instead
     cases = [
@@ -1429,7 +1422,7 @@ def test_cache_values_must_be_digit_runs(tmp_path, monkeypatch, fresh_cache, col
     ]
 
 
-def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache, cold_memo):
+def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, cold_memo):
     args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
     key = lr_mod._canonical_key(*args)
     old = tmp_path / "old.txt"
@@ -1440,7 +1433,10 @@ def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache, c
         cold_memo()
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(old))
         assert lr_coefficient((2,), (1,), (1,)) == 1
-        assert lr_mod._loaded[0] == str(old)
+        # the old file's index is the one held: asking for it again is a hit
+        hits = lr_mod._read_index.cache_info().hits
+        lr_mod._read_index(str(old))
+        assert lr_mod._read_index.cache_info().hits == hits + 1
 
     # a new SCHUBERT_CACHE_DIR
     load_old()
@@ -1457,15 +1453,14 @@ def test_cache_index_dropped_with_its_path(tmp_path, monkeypatch, fresh_cache, c
     load_old()
     before = old.read_text()
     monkeypatch.delenv("SCHUBERT_CACHE_DIR")
-    monkeypatch.setattr(lr_mod, "_loaded", None)
+    lr_mod._read_index.cache_clear()
     assert lr_coefficient(*args) == true_value
     assert old.read_text() == before
 
 
-def test_value_read_from_a_cache_file_answers_only_while_it_is_named(tmp_path, monkeypatch, fresh_cache):
-    # the memo is keyed by the file as well as the coefficient: a value
-    # read from one file must not keep answering once the variable names
-    # another file or none
+def test_value_read_from_a_cache_file_answers_only_while_it_is_named(tmp_path, monkeypatch, cold_memo):
+    # a value read from one file must not keep answering once the
+    # variable names another file or none
     args = (2, 1), (1,), (1, 1)
     seeded = tmp_path / "seeded.txt"
     seeded.write_text("2,1;1;1,1 9999\n")
@@ -1481,3 +1476,30 @@ def test_value_read_from_a_cache_file_answers_only_while_it_is_named(tmp_path, m
     assert lr_coefficient(*args) == 1
     monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(seeded))
     assert lr_coefficient(*args) == 9999
+
+
+def test_a_coefficient_is_counted_once_whatever_file_is_named(tmp_path, monkeypatch, cold_memo):
+    # the memo holds counted values only, keyed by the coefficient alone:
+    # naming another file, or none, counts nothing again, and each file
+    # still gets its one line
+    args = (5, 4, 3, 2, 1), (2, 1), (4, 4, 2, 2)
+    line = "5,4,3,2,1;2,1;4,4,2,2 2\n"
+
+    def named(path):
+        if path is None:
+            monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+        else:
+            monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(path))
+        return lr_coefficient(*args)
+
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert [named(path) for path in (a, b, None, a)] == [2, 2, 2, 2]
+    assert lr_mod._coefficient.cache_info().misses == 1
+    assert a.read_text() == b.read_text() == line
+    # a value seeded in a file answers only while that file is named
+    seeded = tmp_path / "seeded.txt"
+    seeded.write_text("5,4,3,2,1;2,1;4,4,2,2 9999\n")
+    assert [named(path) for path in (seeded, b, None, seeded)] == [9999, 2, 2, 9999]
+    assert lr_mod._coefficient.cache_info().misses == 1
+    assert b.read_text() == line
+    assert seeded.read_text() == "5,4,3,2,1;2,1;4,4,2,2 9999\n"

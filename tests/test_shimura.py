@@ -552,6 +552,19 @@ def test_kunneth_vanishing():
         kunneth_vanishing(pair, [((1, 1), (2,), (2,))])
 
 
+def test_kunneth_vanishing_checks_its_blocks_like_a_levi():
+    # one block rule for every Levi entry: positive sides, then rows and
+    # columns that fit the ambient window
+    pair = make_pair((2, 2), (4, 4, 2, 2), (4, 4))
+    for box in ((0, 2), (2, 0), (-1, 2)):
+        with pytest.raises(LeviDoesNotFit, match="blocks need positive sides"):
+            kunneth_vanishing(pair, [(box, (), ())])
+    with pytest.raises(LeviDoesNotFit, match="row sides exceed the ambient"):
+        kunneth_vanishing(pair, [((3, 2), (), ()), ((2, 2), (), ())])
+    with pytest.raises(LeviDoesNotFit, match="column sides exceed the ambient"):
+        kunneth_vanishing(pair, [((2, 3), (), ()), ((2, 2), (), ())])
+
+
 def test_vanishing_criterion():
     narrow = make_pair((3,), (3, 3), (2, 3))
     assert not vanishing_criterion(narrow, 1, "Q")  # degree not low enough
