@@ -5,15 +5,18 @@ exit 1 with {"error": code}, among them InputTooLarge for a pair window
 over shimura.MAX_PAIR_ROWS rows or columns; malformed invocations exit
 2 and write the complaint to stderr.  No command path recurses, so an
 answer does not depend on the caller's stack depth.  --pretty sketches
-the shapes involved on stderr, leaving stdout machine-readable.  Each
-call builds the parsers of the command it names only, not those of
-every other subcommand, and loads only the layers its command calls:
-each handler imports lr, cohomology or shimura itself, so an lr command
-never loads cohomology or shimura, and a cohom command never loads
-shimura.  Parsers are built once per process per command path and
-reused by every later call on that path, so a caller that runs main
-many times only parses; a parser build_parser returns is shared, so
-callers must not modify it.
+the shapes involved on stderr, leaving stdout machine-readable.
+
+A command is parsed by its own parser, built once per process and
+reused by every later call of that command, so a call builds at most
+one parser and parses its argv once.  The full tree build_parser
+returns serves only help for the top or a group, malformed calls and a
+command with extra words, so their usage and error text read as ever;
+it holds only the leaves under the command path argv names, is built
+once per process per path, and is shared, so callers must not modify
+it.  Each call loads only the layers its command calls: each handler
+imports lr, cohomology or shimura itself, so an lr command never loads
+cohomology or shimura, and a cohom command never loads shimura.
 """
 
 import argparse
@@ -453,6 +456,19 @@ def build_parser(argv=None):
     return _parser(path)
 
 
+def _add_options(sp, options):
+    # the options of one command, on its leaf in the tree or on its own parser
+    sp.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
+    for flags, kwargs in options:
+        if isinstance(flags, tuple):
+            mode = sp.add_mutually_exclusive_group()
+            for flag in flags:
+                mode.add_argument(flag, **kwargs)
+        else:
+            sp.add_argument(flags, **kwargs)
+    return sp
+
+
 @functools.cache
 def _parser(path):
     # keyed by the command path alone, never by argv, so the table holds
@@ -464,25 +480,38 @@ def _parser(path):
         group, op = key
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(dest="op", required=True)
-        if key[: len(path)] != path:
-            continue
-        sp = groups[group].add_parser(op)
-        sp.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
-        for flags, kwargs in options:
-            if isinstance(flags, tuple):
-                mode = sp.add_mutually_exclusive_group()
-                for flag in flags:
-                    mode.add_argument(flag, **kwargs)
-            else:
-                sp.add_argument(flags, **kwargs)
-        sp.set_defaults(fn=fn)
+        if key[: len(path)] == path:
+            _add_options(groups[group].add_parser(op), options).set_defaults(fn=fn)
     return top
+
+
+@functools.cache
+def _command_parser(key):
+    # the leaf of key on its own, under the prog the tree gives it: the
+    # tree hands a command's leaf argv[2:] untouched, so parsing that here
+    # gives the same namespace, help and errors; keyed by _COMMANDS' keys
+    # alone, so the table holds at most 24 entries
+    fn, options = _COMMANDS[key]
+    sp = _add_options(argparse.ArgumentParser(prog="schubcalc %s %s" % key), options)
+    sp.set_defaults(fn=fn, command=key[0], op=key[1])
+    return sp
+
+
+def _parse(argv):
+    key = tuple(argv[:2])
+    if key in _COMMANDS:
+        args, extras = _command_parser(key).parse_known_args(argv[2:])
+        if not extras:
+            return args
+    # help for the top or a group, anything that names no command, and a
+    # command with extra words, which the top parser refuses
+    return build_parser(argv).parse_args(argv)
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         doc, shapes = args.fn(args)
     except DomainError as err:

@@ -11,7 +11,9 @@ operation here returns, is trusted: its keys are canonical shapes inside
 their boxes, so cup, cup_tensor, restrict_levi and dual_class_unitary
 build their results straight from the canonical keys of lr's private
 cores, with no second check.  A class built by hand must keep the same
-rule: canonical keys, each inside its box.
+rule: canonical keys, each inside its box, with int coefficients.  The
+constructors refuse a coefficient that is not an integer (0.5, "1")
+with ValueError; a float of integer value, such as 2.0, becomes an int.
 """
 
 from operator import attrgetter
@@ -41,8 +43,17 @@ from .partition import (
 
 
 def _normalize_terms(terms, sortfn):
-    clean = {k: int(c) for k, c in terms.items() if c}
-    return dict(sorted(clean.items(), key=sortfn))
+    # int() before the zeros go, so no class keeps a zero-valued term
+    clean = [(k, c) for k, c in zip(terms, map(int, terms.values())) if c]
+    return dict(sorted(clean, key=sortfn))
+
+
+def _integer(c):
+    # an int, or a float of integer value such as 2.0; int() would round
+    # 0.5 to a zero term
+    if isinstance(c, int) or isinstance(c, float) and c.is_integer():
+        return c
+    raise ValueError("coefficients must be integers, got %r" % (c,))
 
 
 # bound once: looking up object.__setattr__ for every field made a
@@ -139,7 +150,7 @@ def cohom_class(ambient, terms):
         lam = partition(lam)
         if not fits(lam, *ambient):
             raise ShapeOutOfBox("%r outside %dx%d" % (lam, *ambient))
-        out[lam] = out.get(lam, 0) + c
+        out[lam] = out.get(lam, 0) + _integer(c)
     return CohomClass(tuple(ambient), _normalize_terms(out, lambda kv: sort_key(kv[0])))
 
 
@@ -164,7 +175,7 @@ def tensor_class(factors, terms):
         for l, box in zip(lams, factors):
             if not fits(l, *box):
                 raise ShapeOutOfBox("%r outside %dx%d" % (l, *box))
-        out[lams] = out.get(lams, 0) + c
+        out[lams] = out.get(lams, 0) + _integer(c)
     key = lambda kv: tuple(sort_key(l) for l in kv[0])
     return TensorClass(factors, _normalize_terms(out, key))
 

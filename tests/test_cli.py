@@ -368,9 +368,10 @@ def test_shimura_ostar(capsys):
 
 
 def _process(cache_dir, *args):
-    # one real schubcalc process with its own coefficient cache
+    # one real schubcalc process with its own coefficient cache, wrapping
+    # help at 80 columns
     src = str(Path(schubcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(cache_dir))
+    env = dict(os.environ, PYTHONPATH=src, SCHUBERT_CACHE_DIR=str(cache_dir), COLUMNS="80")
     argv = [sys.executable, "-m", "schubcalc.cli", *args]
     return subprocess.run(argv, env=env, capture_output=True, timeout=60)
 
@@ -389,6 +390,14 @@ def test_real_process_parses_its_own_argv(tmp_path, capsys):
     done = _process(tmp_path, "bogus")
     assert (done.returncode, done.stdout) == (2, b"")
     assert b"invalid choice: 'bogus'" in done.stderr
+    # a command's own parser answers its help; extra words go to the top
+    done = _process(tmp_path, "lr", "coeff", "--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith(b"usage: schubcalc lr coeff [-h]")
+    done = _process(tmp_path, "lr", "coeff", "--outer", "1", "--nu", "1", "extra")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"usage: schubcalc [-h]")
+    assert b"unrecognized arguments: extra" in done.stderr
     argv = ("lr", "coeff", "--outer", "3,2,1", "--inner", "2,1", "--nu", "2,1")
     assert _process_run(tmp_path, *argv) == run(capsys, *argv)[1].encode()
 
@@ -584,26 +593,76 @@ _MALFORMED_ARGVS = [
     ("cohom", "restrict", "--ambient", "2x2", "--levi", "1x1"),
     ("--", "lr", "coeff", "--outer", "1", "--nu", "1"),
     ("lr", "--", "coeff", "--outer", "1", "--nu", "1"),
+    # a command's own parser sees these first: "--" after the op
+    ("lr", "coeff", "--", "--outer", "1", "--nu", "1"),
+    ("lr", "coeff", "--outer", "1", "--", "--nu", "1"),
+    ("lr", "coeff", "--outer", "1", "--nu", "1", "--"),
+    ("partition", "conj", "--", "--partition", "1"),
+    # abbreviated options
+    ("lr", "coeff", "--out", "1", "--nu", "1", "extra"),
+    ("lr", "inscribes", "--nu", "1", "--skew", "1", "--s"),
+    ("lr", "coeff", "--o", "1", "--n", "1", "--in", "2", "-h"),
+    ("shimura", "vanish", *_PAIR, "--si", "Q", "--b", "1", "--bo", "x"),
+    ("lr", "coeff", "--outer=1", "--nu=1", "--inner=", "x"),
+    ("cohom", "dual-class", "--ambient", "2x2", "--ty", "gsp", "--ty", "bogus"),
+    # repeated options
+    ("lr", "coeff", "--outer", "1", "--outer", "2", "--nu", "1", "x"),
+    ("lr", "inscribes", "--nu", "1", "--skew", "1", "--symmetric", "--symmetric", "--antisymmetric"),
+    ("partition", "conj", "--partition", "1", "--partition"),
+    ("shimura", "pairs", "--p", "2", "--p"),
+    # extra words, which the top parser refuses
+    ("lr", "coeff", "extra", "--outer", "1", "--nu", "1"),
+    ("lr", "coeff", "--outer", "1", "--nu", "1", "extra", "words"),
+    ("skew", "decompose", "--skew", "2,1", "-x"),
+    ("skew", "decompose", "--skew", "2,1", "--bogus=1"),
+    ("shimura", "ostar-holo", "--p", "2", "-1"),
+    ("cohom", "product", "--ambient", "2x2", "--lhs", "1", "--rhs", "1", "--pretty", "x"),
+    ("lr", "coeff", "--help=1"),
+    # a second command after the first
+    ("lr", "coeff", "--outer", "1", "--nu", "1", "lr", "coeff"),
+    ("partition", "conj", "--partition", "1", "partition", "conj", "--partition", "1"),
+    ("lr", "coeff", "lr", "coeff", "--outer", "1", "--nu", "1"),
+    ("shimura", "pairs", "--p", "1", "shimura", "pairs", "--p", "1"),
+    # -h next to a bogus option
+    ("lr", "coeff", "--bogus", "-h"),
+    ("lr", "coeff", "-h", "--bogus"),
+    ("partition", "conj", "--partition", "1", "--bogus", "--help"),
+    ("lr", "--bogus", "-h"),
+    ("--bogus", "-h"),
+    ("shimura", "vanish", "--side", "R", "-h"),
+    ("lr", "coeff", "-h", "extra"),
+]
+# valid calls spelled with abbreviated, repeated and "=" options
+_SPELLED_ARGVS = [
+    ("lr", "coeff", "--out", "2,1", "--nu", "1", "--nu", "1"),
+    ("lr", "coeff", "--outer=2,1", "--in=1", "--n=1", "--pr"),
+    ("lr", "inscribes", "--nu", "1", "--sk", "2,1", "--sy", "--sy"),
+    ("shimura", "vanish", *_PAIR, "--si", "P", "--side", "Q", "--b", "1"),
 ]
 
 
-def _outcome(parser, argv, capsys):
+def _outcome(parse, argv, capsys):
     try:
-        result = ("parsed", vars(parser.parse_args(argv)))
+        result = ("parsed", vars(parse(argv)))
     except SystemExit as done:
         result = ("exit", done.code)
     return result + capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", _LEAF_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS, ids=" ".join)
+_ARGVS = _LEAF_ARGVS + _SPELLED_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
 def test_parser_matches_the_full_parser(monkeypatch, capsys, argv):
     # help, usage and error text, exit codes and parsed values read as if
-    # every leaf were built
+    # every leaf were built, whether main parses argv with the command's
+    # own parser or with the tree
     monkeypatch.setenv("COLUMNS", "80")
-    want = _outcome(_full_parser(), list(argv), capsys)
-    assert _outcome(build_parser(list(argv)), list(argv), capsys) == want
-    assert _outcome(build_parser(), list(argv), capsys) == want
-    assert want[0] == ("parsed" if argv in _LEAF_ARGVS else "exit")
+    want = _outcome(_full_parser().parse_args, list(argv), capsys)
+    assert _outcome(build_parser(list(argv)).parse_args, list(argv), capsys) == want
+    assert _outcome(build_parser().parse_args, list(argv), capsys) == want
+    assert _outcome(cli._parse, list(argv), capsys) == want
+    assert want[0] == ("parsed" if argv in _LEAF_ARGVS + _SPELLED_ARGVS else "exit")
 
 
 def _parsers_built(monkeypatch, argv, clear=True):
@@ -611,6 +670,7 @@ def _parsers_built(monkeypatch, argv, clear=True):
     # to reuse what earlier calls built
     if clear:
         cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -628,14 +688,18 @@ def _parsers_built(monkeypatch, argv, clear=True):
 
 
 def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
-    # top and five groups are always built: 6 of the 30 parsers
-    assert _parsers_built(monkeypatch, ["lr", "coeff", "--outer", "2,1", "--nu", "1"]) <= 7
+    # a command builds its own parser alone; help and errors build the
+    # tree, whose top and five groups are always built: 6 of its 30 parsers
+    for argv in _LEAF_ARGVS + _SPELLED_ARGVS:
+        assert _parsers_built(monkeypatch, list(argv)) == 1, argv
+    argv = ["lr", "coeff", "--outer", "2,1", "--nu", "1"]
+    assert _parsers_built(monkeypatch, argv) == 1
+    # a second identical call reuses the parser of its command
+    assert _parsers_built(monkeypatch, argv, clear=False) == 0
     assert _parsers_built(monkeypatch, ["bogus"]) == 30
     assert _parsers_built(monkeypatch, ["lr", "--help"]) == 6 + 3
-    # a second identical call reuses the parser of its command path
-    argv = ["lr", "coeff", "--outer", "2,1", "--nu", "1"]
-    assert _parsers_built(monkeypatch, argv) <= 7
-    assert _parsers_built(monkeypatch, argv, clear=False) == 0
+    # a command with extra words is refused by the tree's top parser
+    assert _parsers_built(monkeypatch, argv + ["extra"]) == 1 + 6 + 1
     capsys.readouterr()
 
 
@@ -643,11 +707,11 @@ def _parse_in_main(monkeypatch, argv, capsys):
     # the outcome of the parse inside main(argv), in _outcome's form; the
     # handler's output, read after the parse, is returned apart
     seen = []
-    parse_args = argparse.ArgumentParser.parse_args
+    parse = cli._parse
 
-    def recording(self, *args, **kwargs):
+    def recording(argv):
         try:
-            ns = parse_args(self, *args, **kwargs)
+            ns = parse(argv)
         except SystemExit as done:
             seen.append(("exit", done.code) + capsys.readouterr())
             raise
@@ -655,7 +719,7 @@ def _parse_in_main(monkeypatch, argv, capsys):
         return ns
 
     with monkeypatch.context() as patch:
-        patch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        patch.setattr(cli, "_parse", recording)
         try:
             rc = main(list(argv))
         except SystemExit:
@@ -668,10 +732,10 @@ def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
     # every argv three times, shuffled so that malformed calls come before
     # valid ones on the same command path, with the parsers built at 80
     # columns and reused at 30 and 200; help is wrapped when printed
-    argvs = _LEAF_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS
-    order = argvs * 3
+    order = _ARGVS * 3
     random.Random(22).shuffle(order)
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "80")
     calls = {}
     for argv in order:
@@ -680,7 +744,7 @@ def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
     assert any(c[0] in _MALFORMED_ARGVS and set(c) & set(_LEAF_ARGVS) for c in calls.values())
     for columns in ("80", "30", "200"):
         monkeypatch.setenv("COLUMNS", columns)
-        want = {argv: _outcome(_full_parser(), list(argv), capsys) for argv in argvs}
+        want = {argv: _outcome(_full_parser().parse_args, list(argv), capsys) for argv in _ARGVS}
         ran = {}
         for argv in order:
             parsed, after = _parse_in_main(monkeypatch, argv, capsys)
@@ -688,6 +752,7 @@ def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
             # the handler, too, answers alike on every repeat
             assert ran.setdefault(argv, after) == after, (columns, argv)
     assert cli._parser.cache_info().currsize == 30
+    assert cli._command_parser.cache_info().currsize == len(cli._COMMANDS) == 24
 
 
 def test_shimura_type_choices_are_the_flavors():

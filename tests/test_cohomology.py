@@ -69,6 +69,35 @@ def test_class_normalization():
         cohom_class((2, 2), {(3,): 1})
 
 
+@pytest.mark.parametrize("coeff", [0.5, -1.5, float("nan"), float("inf"), "1", None])
+def test_constructors_refuse_a_coefficient_that_is_not_an_integer(coeff):
+    # int() would have kept 0.5 as a zero-valued term
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        cohom_class((4, 4), {(1,): coeff})
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        tensor_class(((2, 2), (2, 2)), {((1,), ()): 1, ((), (1,)): coeff})
+
+
+def test_constructors_store_integer_coefficients_as_ints():
+    x = cohom_class((4, 4), {(1,): 2.0, (2,): -0.0, (): True})
+    assert x.terms == {(): 1, (1,): 2} and all(type(c) is int for c in x.terms.values())
+    t = tensor_class(((2, 2),), {((1,),): 3.0})
+    assert t.terms == {((1,),): 3} and type(t.terms[((1,),)]) is int
+
+
+def test_no_result_holds_a_zero_valued_term():
+    # a class built by hand against the int rule: what int() rounds to
+    # zero drops out instead of staying as a zero term
+    amb, levi = (4, 4), LeviShape(((2, 2), (2, 2)))
+    half = CohomClass(amb, {(1,): 0.5})
+    assert cup(half, schubert_class(amb, (1,))).terms == {}
+    x = CohomClass(amb, {(1,): 0.5, (2,): 1})
+    assert restrict_levi(x, levi) == restrict_levi(schubert_class(amb, (2,)), levi)
+    y = TensorClass(levi.rects, {((1,), ()): 0.5})
+    assert cup_tensor(y, restrict_levi(unit(amb), levi)).terms == {}
+    assert _normalize_terms({(1,): 0.9, (2,): -0.5, (): 3}, lambda kv: kv[0]) == {(): 3}
+
+
 @pytest.mark.parametrize(
     "make, amb, other_amb",
     [
