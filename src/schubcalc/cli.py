@@ -3,7 +3,7 @@
 Every run prints exactly one JSON document to stdout.  Domain failures
 exit 1 with {"error": code}, among them InputTooLarge for a pair window
 over shimura.MAX_PAIR_ROWS rows or columns; malformed invocations exit
-2 and write the complaint to stderr.  No command path recurses, so an
+2 and write the complaint to stderr.  No command recurses, so an
 answer does not depend on the caller's stack depth.  --pretty sketches
 the shapes involved on stderr, leaving stdout machine-readable.
 
@@ -12,11 +12,11 @@ reused by every later call of that command, so a call builds at most
 one parser and parses its argv once.  The full tree build_parser
 returns serves only help for the top or a group, malformed calls and a
 command with extra words, so their usage and error text read as ever;
-it holds only the leaves under the command path argv names, is built
-once per process per path, and is shared, so callers must not modify
-it.  Each call loads only the layers its command calls: each handler
-imports lr, cohomology or shimura itself, so an lr command never loads
-cohomology or shimura, and a cohom command never loads shimura.
+it is built whole, once per process, and shared, so callers must not
+modify it.  Each call loads only the layers its command calls: each
+handler imports lr, cohomology or shimura itself, so an lr command
+never loads cohomology or shimura, and a cohom command never loads
+shimura.
 """
 
 import argparse
@@ -438,22 +438,12 @@ _COMMANDS = {
 }
 
 
-# every command path build_parser can trim argv to: (), each group and
-# each (group, op)
-_PATHS = frozenset(key[:n] for key in _COMMANDS for n in range(3))
+def build_parser():
+    """The schubcalc parser, with every group and every leaf.
 
-
-def build_parser(argv=None):
-    """The schubcalc parser, with every group but only the leaves under
-    the longest (group, op) prefix of argv that names known choices, so
-    help and error messages read as with all leaves built.
-
-    The parser is built once per process per command path and shared by
-    every later call on that path, so callers must not modify it."""
-    path = tuple(argv or ())[:2]
-    while path not in _PATHS:
-        path = path[:-1]
-    return _parser(path)
+    The parser is built once per process and shared by every later call,
+    so callers must not modify it."""
+    return _parser()
 
 
 def _add_options(sp, options):
@@ -470,18 +460,14 @@ def _add_options(sp, options):
 
 
 @functools.cache
-def _parser(path):
-    # keyed by the command path alone, never by argv, so the table holds
-    # at most the 30 entries of _PATHS
+def _parser():
     top = argparse.ArgumentParser(prog="schubcalc")
     sub = top.add_subparsers(dest="command", required=True)
     groups = {}
-    for key, (fn, options) in _COMMANDS.items():
-        group, op = key
+    for (group, op), (fn, options) in _COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(dest="op", required=True)
-        if key[: len(path)] == path:
-            _add_options(groups[group].add_parser(op), options).set_defaults(fn=fn)
+        _add_options(groups[group].add_parser(op), options).set_defaults(fn=fn)
     return top
 
 
@@ -505,7 +491,7 @@ def _parse(argv):
             return args
     # help for the top or a group, anything that names no command, and a
     # command with extra words, which the top parser refuses
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

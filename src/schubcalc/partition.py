@@ -28,8 +28,20 @@ def _trim(parts):
 
 
 def partition(parts):
-    """Normalize to a canonical partition tuple, validating monotonicity."""
-    parts = _trim(tuple(map(int, parts)))
+    """Normalize to a canonical partition tuple, validating monotonicity.
+
+    Each part must be an integer: an int, or a float of integer value
+    such as 2.0.  Any other part, such as 2.5, "3", None or infinity,
+    raises ValueError; int() would truncate or parse it."""
+    parts = tuple(parts)
+    try:
+        ints = tuple(map(int, parts))
+    except (TypeError, OverflowError):
+        ints = None
+    # 2.0 == 2, but 2.5 != 2 and "3" != 3
+    if ints != parts:
+        raise ValueError("parts must be integers: %r" % (parts,))
+    parts = _trim(ints)
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -43,7 +55,7 @@ def parse_partition(text):
     text = text.strip()
     if not text:
         return ()
-    return partition(text.split(","))
+    return partition(tuple(map(int, text.split(","))))
 
 
 def format_partition(lam):

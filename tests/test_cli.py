@@ -444,8 +444,8 @@ def test_product_above_the_window_degree_computes_nothing(tmp_path):
 
 
 def _full_parser():
-    # the parser as it was built before argv chose the leaves: every leaf,
-    # written out one by one; the reference for build_parser
+    # the parser tree written out one by one, leaf by leaf; the reference
+    # for build_parser
     top = argparse.ArgumentParser(prog="schubcalc")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="sketch shapes on stderr")
@@ -654,12 +654,11 @@ _ARGVS = _LEAF_ARGVS + _SPELLED_ARGVS + _HELP_ARGVS + _MALFORMED_ARGVS
 
 @pytest.mark.parametrize("argv", _ARGVS, ids=" ".join)
 def test_parser_matches_the_full_parser(monkeypatch, capsys, argv):
-    # help, usage and error text, exit codes and parsed values read as if
-    # every leaf were built, whether main parses argv with the command's
-    # own parser or with the tree
+    # help, usage and error text, exit codes and parsed values read as the
+    # reference tree's, whether main parses argv with the command's own
+    # parser or with the tree
     monkeypatch.setenv("COLUMNS", "80")
     want = _outcome(_full_parser().parse_args, list(argv), capsys)
-    assert _outcome(build_parser(list(argv)).parse_args, list(argv), capsys) == want
     assert _outcome(build_parser().parse_args, list(argv), capsys) == want
     assert _outcome(cli._parse, list(argv), capsys) == want
     assert want[0] == ("parsed" if argv in _LEAF_ARGVS + _SPELLED_ARGVS else "exit")
@@ -689,7 +688,7 @@ def _parsers_built(monkeypatch, argv, clear=True):
 
 def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
     # a command builds its own parser alone; help and errors build the
-    # tree, whose top and five groups are always built: 6 of its 30 parsers
+    # whole tree: the top, five groups and 24 leaves, 30 parsers
     for argv in _LEAF_ARGVS + _SPELLED_ARGVS:
         assert _parsers_built(monkeypatch, list(argv)) == 1, argv
     argv = ["lr", "coeff", "--outer", "2,1", "--nu", "1"]
@@ -697,9 +696,9 @@ def test_a_call_builds_only_the_parsers_its_argv_names(monkeypatch, capsys):
     # a second identical call reuses the parser of its command
     assert _parsers_built(monkeypatch, argv, clear=False) == 0
     assert _parsers_built(monkeypatch, ["bogus"]) == 30
-    assert _parsers_built(monkeypatch, ["lr", "--help"]) == 6 + 3
+    assert _parsers_built(monkeypatch, ["lr", "--help"]) == 30
     # a command with extra words is refused by the tree's top parser
-    assert _parsers_built(monkeypatch, argv + ["extra"]) == 1 + 6 + 1
+    assert _parsers_built(monkeypatch, argv + ["extra"]) == 1 + 30
     capsys.readouterr()
 
 
@@ -729,19 +728,16 @@ def _parse_in_main(monkeypatch, argv, capsys):
 
 
 def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
-    # every argv three times, shuffled so that malformed calls come before
-    # valid ones on the same command path, with the parsers built at 80
-    # columns and reused at 30 and 200; help is wrapped when printed
+    # every argv three times, shuffled so that malformed calls, help and
+    # valid ones interleave, with the parsers built at 80 columns and
+    # reused at 30 and 200; help is wrapped when printed
     order = _ARGVS * 3
     random.Random(22).shuffle(order)
     cli._parser.cache_clear()
     cli._command_parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "80")
-    calls = {}
-    for argv in order:
-        calls.setdefault(id(build_parser(list(argv))), []).append(argv)
-    assert len(calls) == 30
-    assert any(c[0] in _MALFORMED_ARGVS and set(c) & set(_LEAF_ARGVS) for c in calls.values())
+    calls = {id(build_parser()) for _ in order}
+    assert len(calls) == 1
     for columns in ("80", "30", "200"):
         monkeypatch.setenv("COLUMNS", columns)
         want = {argv: _outcome(_full_parser().parse_args, list(argv), capsys) for argv in _ARGVS}
@@ -751,7 +747,7 @@ def test_reused_parsers_change_no_outcome(monkeypatch, capsys):
             assert parsed == want[argv], (columns, argv)
             # the handler, too, answers alike on every repeat
             assert ran.setdefault(argv, after) == after, (columns, argv)
-    assert cli._parser.cache_info().currsize == 30
+    assert cli._parser.cache_info().currsize == 1
     assert cli._command_parser.cache_info().currsize == len(cli._COMMANDS) == 24
 
 
@@ -776,19 +772,29 @@ import schubcalc
 if loaded() != ["errors", "partition", "skew", "tableau"]:
     sys.exit("import schubcalc loaded %%s" %% loaded())
 from schubcalc import cli
-if cli.main(%r) not in (0, 1):
+try:
+    ran = cli.main(%r) in (0, 1)
+except SystemExit as done:
+    # help prints and exits 0
+    ran = done.code == 0
+if not ran:
     sys.exit("the call did not run")
 if loaded() != %r:
     sys.exit("the call loaded %%s" %% loaded())
 """
 
 
-@pytest.mark.parametrize("argv", _LEAF_ARGVS, ids=" ".join)
+# help builds the whole tree, which loads no layer
+_TREE_ARGVS = [("--help",), ("lr", "--help"), ("shimura", "--help")]
+
+
+@pytest.mark.parametrize("argv", _LEAF_ARGVS + _TREE_ARGVS, ids=" ".join)
 def test_a_call_loads_only_the_layers_its_command_calls(argv):
     # sys.exit, not assert, so the checks hold under python -O too; -S
     # keeps site packages from importing anything first
     src = str(Path(schubcalc.__file__).resolve().parents[1])
-    want = sorted(["errors", "partition", "skew", "tableau", *_GROUP_LOADS[argv[0]]])
+    loads = ["cli"] if argv in _TREE_ARGVS else _GROUP_LOADS[argv[0]]
+    want = sorted(["errors", "partition", "skew", "tableau", *loads])
     done = subprocess.run(
         [sys.executable, "-S", "-c", _LOADED_SCRIPT % (list(argv), want)],
         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
