@@ -25,6 +25,7 @@ from .errors import (
     LeviDoesNotFit,
     ShapeNotSymmetric,
     ShapeOutOfBox,
+    _integers,
 )
 from .lr import _coproduct, _expand, _product, diagonal_splits
 from .partition import (
@@ -234,26 +235,33 @@ def poincare_pair(x, y):
 
 
 def _check_blocks(rects, rows, cols):
-    # the blocks have positive sides and fit side by side in rows x cols
-    for a, b in rects:
+    # the blocks as pairs of int sides, refused unless each side is a
+    # positive integer and the blocks fit side by side in rows x cols
+    ints = []
+    for box in rects:
+        a, b = _integers(box, "block sides")
         if a < 1 or b < 1:
             raise LeviDoesNotFit("blocks need positive sides")
+        ints.append((a, b))
+    rects = tuple(ints)
     if sum(a for a, _ in rects) > rows:
         raise LeviDoesNotFit("row sides exceed the ambient")
     if sum(b for _, b in rects) > cols:
         raise LeviDoesNotFit("column sides exceed the ambient")
+    return rects
 
 
 def check_levi_unitary(ambient, levi):
+    """The Levi with int sides, refused unless its blocks fit side by side
+    in the ambient and it has no diagonal block."""
     if levi.center is not None:
         raise LeviDoesNotFit("a type-A Levi has no diagonal block")
-    _check_blocks(levi.rects, *ambient)
+    return LeviShape(_check_blocks(levi.rects, *ambient))
 
 
 def restrict_levi(x, levi):
     """Restriction to a product of block factors, one per Levi rectangle."""
-    check_levi_unitary(x.ambient, levi)
-    rects = tuple(map(tuple, levi.rects))
+    rects = check_levi_unitary(x.ambient, levi).rects
     # _coproduct builds each block shape inside its box, so the terms
     # skip tensor_class's checks
     out = {}
@@ -266,7 +274,7 @@ def restrict_levi(x, levi):
 def dual_class_unitary(ambient, levi):
     """Class carried by the Levi orbit: one basis term per complemented
     support shape, normalized so the orbit itself appears with weight 1."""
-    check_levi_unitary(ambient, levi)
+    levi = check_levi_unitary(ambient, levi)
     full = [rect(a, b) for a, b in levi.rects]
     support = _product(full, rect(*ambient))
     # complements of canonical shapes in the window: no cohom_class check
@@ -326,11 +334,14 @@ def dual_class_ostar(p):
 
 
 def check_levi_square(p, levi):
+    """The Levi with int sides, refused unless it has a diagonal block of
+    nonnegative side and its blocks fit beside it in the p x p window."""
     if levi.center is None:
         raise LeviDoesNotFit("this Levi needs a diagonal block")
-    if levi.center < 0:
+    (center,) = _integers((levi.center,), "diagonal block sides")
+    if center < 0:
         raise LeviDoesNotFit("diagonal block side must be nonnegative")
-    _check_blocks(levi.rects, p - levi.center, p - levi.center)
+    return LeviShape(_check_blocks(levi.rects, p - center, p - center), center)
 
 
 def restrict_symplectic_levi_support(nu, levi, p):
@@ -341,7 +352,7 @@ def restrict_symplectic_levi_support(nu, levi, p):
         raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
     if not fits(nu, p, p):
         raise ShapeOutOfBox("%r outside %dx%d" % (nu, p, p))
-    check_levi_square(p, levi)
-    splits = diagonal_splits(plus_part(nu), levi.center, tuple(levi.rects), plus_part)
+    levi = check_levi_square(p, levi)
+    splits = diagonal_splits(plus_part(nu), levi.center, levi.rects, plus_part)
     found = {(() if w.center is None else w.center, w.gammas) for w in splits}
     return sorted(found, key=lambda pair: (sort_key(pair[0]), tuple(map(sort_key, pair[1]))))

@@ -37,15 +37,19 @@ over {shape still to split: {block shapes so far: coefficient}}, which
 starts from lam/inner expanded inside the rectangle all the boxes span.
 Each shape mu still to split and each alpha inside both mu and the next
 box give one ballot search over mu/alpha, its letters capped by the
-rectangle the boxes left span; alpha = mu and alpha = () need none, as
-a skew with no cells and a straight shape have one ballot filling each
-(row i holds only i's).  Every shape visited lies under lam, and
-nothing recurses.  The memoized terms are sorted once, into the graded
-order of each alpha_i in turn, for both callers: the Levi restriction
-(inner empty) and the diagonal search (a target over a center).
-Multi-factor coefficients stay on the bottom-up products, so the tests'
-oracles, which count through multi_lr_coefficient, do not share the
-walk.
+rectangle R x C the later boxes span, but only an alpha whose rest has
+rows of at most C cells and columns of at most R is built: a column of
+the rest takes distinct letters, so each s_nu in s_{mu/alpha} has a row
+per cell of its longest column, and, by conjugation, nu_1 is at least
+its longest row; so alpha_i >= mu_i - C and alpha_i >= mu_{i+R}.  No
+search is run for alpha = mu or alpha = (), as a skew with no cells and
+a straight shape have one ballot filling each (row i holds only i's).
+Every shape visited lies under lam, and nothing recurses.  The memoized
+terms are sorted once, into the graded order of each alpha_i in turn,
+for both callers: the Levi restriction (inner empty) and the diagonal
+search (a target over a center).  Multi-factor coefficients stay on the
+bottom-up products, so the tests' oracles, which count through
+multi_lr_coefficient, do not share the walk.
 
 Each memoized helper (_coefficient, _expand_pair, _coproduct and
 _centers, the diagonal search's symmetric centers of a side) keeps its
@@ -91,6 +95,7 @@ from typing import NamedTuple, Optional
 from .errors import ShapeNotSymmetric
 from .partition import (
     _shapes_under,
+    _trim,
     conjugate,
     contains,
     enumerate_in_rectangle,
@@ -244,9 +249,10 @@ def _expand_pair(lam, nu, outer):
 
 def _skew_under(lam, alpha, rows, cols):
     # _skew_terms of lam/alpha with its letters capped by the rows x cols
-    # rectangle, or {} if alpha is not inside lam or the rest does not fit;
-    # a skew with no cells, or a straight shape, whose one ballot filling
-    # puts only i's in row i, is answered without a search
+    # rectangle; {} if alpha is not inside lam or the rest has too many
+    # cells (_coproduct's bounds already keep its rows and columns in the
+    # rectangle); a skew with no cells, or a straight shape, whose one
+    # ballot filling puts only i's in row i, is answered without a search
     if alpha == lam:
         return {(): 1}
     if not alpha:
@@ -268,7 +274,10 @@ def _coproduct(lam, inner, boxes):
         rows_left, cols_left = rows_left - rows, cols_left - cols
         nxt = {}
         for mu, heads in level.items():
-            for alpha in _shapes_under([min(cols, p) for p in mu[:rows]]):
+            # alpha_i >= mu_i - cols_left, mu_{i+rows_left}: see the docstring
+            below = mu[rows_left:] + (0,) * rows_left
+            lows = _trim(tuple(max(p - cols_left, q) for p, q in zip(mu, below)))
+            for alpha in _shapes_under([min(cols, p) for p in mu[:rows]], lows):
                 for rest, c in _skew_under(mu, alpha, rows_left, cols_left).items():
                     acc = nxt.setdefault(rest, {})
                     for head, c0 in heads.items():
@@ -418,7 +427,7 @@ def _oriented(strict):
 def _centers(side, reduce_map):
     # ((nu0, oriented reduction of nu0), ...) over the symmetric shapes
     # inside side x side, () alone for side 0
-    shapes = enumerate_in_rectangle(side, side, symmetric_only=True) if side else [()]
+    shapes = enumerate_in_rectangle(side, side, symmetric_only=True)
     return tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
 
 

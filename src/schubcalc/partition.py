@@ -9,14 +9,15 @@ partition() to normalize untrusted input.  The trust rule the library
 keeps: a public function normalizes each shape its caller passes in,
 once, with partition(), and canonical tuples travel inward from there.
 A shape built from canonical shapes is canonical and is not checked
-again: complement, plus_part, minus_part, bar_closure, check_reduction,
-from_plus_part and from_minus_part return their shapes through _trim,
-which drops trailing zeros and checks nothing.
+again: complement, plus_part, minus_part, bar_closure and
+check_reduction return their shapes through _trim, which drops trailing
+zeros and checks nothing, and from_plus_part and from_minus_part build
+theirs from positive hook lengths.
 """
 
 import math
 
-from .errors import NotSymmetric, ShapeOutOfBox
+from .errors import NotSymmetric, ShapeOutOfBox, _integers
 
 
 def _trim(parts):
@@ -33,15 +34,7 @@ def partition(parts):
     Each part must be an integer: an int, or a float of integer value
     such as 2.0.  Any other part, such as 2.5, "3", None or infinity,
     raises ValueError; int() would truncate or parse it."""
-    parts = tuple(parts)
-    try:
-        ints = tuple(map(int, parts))
-    except (TypeError, OverflowError):
-        ints = None
-    # 2.0 == 2, but 2.5 != 2 and "3" != 3
-    if ints != parts:
-        raise ValueError("parts must be integers: %r" % (parts,))
-    parts = _trim(ints)
+    parts = _trim(_integers(parts, "parts"))
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
@@ -175,15 +168,10 @@ def _from_diagonal_hooks(strict, arm):
     # arm is the number of cells each hook extends past the diagonal cell
     if not is_strict(strict) or any(p <= 0 for p in strict):
         raise ValueError("expected a strict partition, got %r" % (strict,))
-    cells = set()
-    for i, p in enumerate(strict, start=1):
-        for j in range(i, i + arm(p)):
-            cells.add((i, j))
-            cells.add((j, i))
-    if not cells:
-        return ()
-    nrows = max(r for r, _ in cells)
-    return _trim(tuple(sum(1 for r, _ in cells if r == i) for i in range(1, nrows + 1)))
+    # row i runs to the end of hook i's arm, and the rows below the
+    # diagonal hold only the hooks' legs, so they are read off the columns
+    top = tuple(i + arm(p) for i, p in enumerate(strict))
+    return top + conjugate(top)[len(top) :]
 
 
 def from_plus_part(strict):
@@ -203,13 +191,16 @@ def sort_key(lam):
     return (sum(lam), tuple(-p for p in lam))
 
 
-def _shapes_under(highs):
-    # every partition with part i at most highs[i], built row by row:
-    # last holds the shapes with exactly as many rows as bounds read
-    out, last = [()], [()]
-    for h in highs:
-        last = [lam + (v,) for lam in last for v in range(1, min(h, lam[-1] if lam else h) + 1)]
-        out += last
+def _shapes_under(highs, lows=()):
+    # every partition with part i between lows[i] and highs[i], lows a
+    # partition, built row by row: last holds the shapes with exactly as
+    # many rows as bounds read, kept once they have a row for each low
+    out, last = [] if lows else [()], [()]
+    for i, h in enumerate(highs):
+        lo = lows[i] if i < len(lows) else 1
+        last = [lam + (v,) for lam in last for v in range(lo, min(h, lam[-1] if lam else h) + 1)]
+        if i >= len(lows) - 1:
+            out += last
     return out
 
 

@@ -26,6 +26,7 @@ from .errors import (
     LeviDoesNotFit,
     ShapeOutOfBox,
     TrivialPairExcluded,
+    _integers,
 )
 from .lr import _graded_product, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
@@ -236,7 +237,7 @@ def injectivity_unitary(pair, levi):
     """
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
-    check_levi_unitary(pair.ambient, levi)
+    levi = check_levi_unitary(pair.ambient, levi)
     full = [rect(a, b) for a, b in levi.rects]
     for nu in _graded_product(full, rect(*pair.ambient)):
         if _witness(complement(nu, *pair.ambient), pair.lam, pair.mu) is not None:
@@ -263,7 +264,7 @@ def injectivity_holomorphic_u(ambient, r, s, levi):
     p, q = ambient
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
-    check_levi_unitary(ambient, levi)
+    levi = check_levi_unitary(ambient, levi)
     if not levi.rects:
         return False
     rows, cols = zip(*levi.rects)
@@ -301,7 +302,7 @@ def gsp_holomorphic(p, r, block_rows):
     """
     if not 0 <= r <= p:
         raise ValueError("r=%d outside 0..%d" % (r, p))
-    block_rows = [int(b) for b in block_rows]
+    block_rows = _integers(block_rows, "block rows")
     if any(b < 1 for b in block_rows) or sum(block_rows) > p:
         raise LeviDoesNotFit("blocks %r do not fit rank %d" % (block_rows, p))
     if r == 0:
@@ -318,9 +319,9 @@ def kunneth_vanishing(pair, factor_pairs):
     """
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
-    _check_blocks([box for box, _, _ in factor_pairs], *pair.ambient)
+    boxes = _check_blocks([box for box, _, _ in factor_pairs], *pair.ambient)
     lams, tops = [], []
-    for box, l, m in factor_pairs:
+    for box, (_, l, m) in zip(boxes, factor_pairs):
         l, m = partition(l), partition(m)
         if not fits(m, *box) or not contains(l, m):
             raise ShapeOutOfBox("pair %r/%r outside %dx%d" % (m, l, *box))

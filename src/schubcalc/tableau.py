@@ -23,7 +23,7 @@ when j < outer_r, in which case it is the previous index.
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .errors import SkewInputNotSupported
+from .errors import SkewInputNotSupported, _integers
 from .partition import partition
 from .skew import SkewShape, _padded_inner, skew
 
@@ -42,7 +42,7 @@ def tableau(shape, rows):
     """Build and validate a semistandard tableau on the given shape."""
     shape = skew(*shape)
     pad = _padded_inner(shape)
-    rows = tuple(tuple(int(v) for v in r) for r in rows)
+    rows = tuple(_integers(r, "entries") for r in rows)
     if len(rows) != len(shape.outer):
         raise ValueError("expected %d rows" % len(shape.outer))
     grid = {}

@@ -356,6 +356,29 @@ def test_levi_validation():
         cup_tensor(x, y)
 
 
+@pytest.mark.parametrize("side", [1.5, "2", float("inf")])
+def test_levi_sides_that_are_not_integers_are_refused(side):
+    # refused before any search; each crashed deep inside it with a bare
+    # TypeError, on a product, a slice or a range
+    with pytest.raises(ValueError, match="block sides must be integers"):
+        dual_class_unitary((3, 3), LeviShape(((side, 1),)))
+    with pytest.raises(ValueError, match="block sides must be integers"):
+        restrict_levi(schubert_class((3, 3), (1,)), LeviShape(((1, side),)))
+    with pytest.raises(ValueError, match="diagonal block sides must be integers"):
+        restrict_symplectic_levi_support((1,), LeviShape((), side), 3)
+    with pytest.raises(ValueError, match="block sides must be integers"):
+        restrict_symplectic_levi_support((1,), LeviShape(((side, 1),), 1), 3)
+
+
+def test_levi_sides_of_integer_value_are_ints():
+    x = schubert_class((3, 3), (2, 1))
+    assert restrict_levi(x, LeviShape(((2.0, 1), (1, 2.0)))) == restrict_levi(x, LeviShape(((2, 1), (1, 2))))
+    want = dual_class_unitary((3, 3), LeviShape(((2, 1),)))
+    assert dual_class_unitary((3, 3), LeviShape(((2.0, 1),))) == want
+    want = restrict_symplectic_levi_support((2, 1), LeviShape(((1, 1),), 1), 2)
+    assert restrict_symplectic_levi_support((2, 1), LeviShape(((1.0, 1.0),), 1.0), 2) == want
+
+
 def test_tensor_class_validation():
     with pytest.raises(ShapeOutOfBox):
         tensor_class(((1, 1),), {((2,),): 1})

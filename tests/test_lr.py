@@ -847,6 +847,16 @@ def test_shapes_under_a_row_bound_are_the_filtered_rectangle():
         got = lr_mod._shapes_under(h)
         assert len(got) == len(set(got)), h
         assert set(got) == {lam for lam in enumerate_in_rectangle(len(h), h[0] if h else 0) if contains(lam, h)}, h
+    # with lows as well: the shapes between them, none when lows are not
+    # under highs
+    for h in SHAPES_4x4:
+        under = [lam for lam in SHAPES_4x4 if contains(lam, h)]
+        for lo in SHAPES_4x4:
+            got = lr_mod._shapes_under(h, lo)
+            assert len(got) == len(set(got)), (lo, h)
+            assert set(got) == {lam for lam in under if contains(lo, lam)}, (lo, h)
+            if not contains(lo, h):
+                assert got == [], (lo, h)
     # a thousand-row bound is listed without a per-row recursion
     assert len(lr_mod._shapes_under((1,) * 1100)) == 1101
 
@@ -1003,6 +1013,31 @@ def test_coproduct_searches_no_empty_or_straight_skew(monkeypatch, cold_memo):
     assert lr_mod._coproduct((3,), (), ((1, 1), (1, 1))) == {}
     assert restrict_levi(schubert_class((4, 4), (3,)), LeviShape(((1, 1), (1, 1)))).terms == {}
     assert restrict_levi(schubert_class((4, 4), (1, 1, 1)), LeviShape(((1, 2), (1, 1)))).terms == {}
+
+
+def test_coproduct_builds_only_alphas_whose_rest_fits(monkeypatch, cold_memo):
+    # every nonempty alpha the walk passes to _skew_under leaves a rest
+    # mu/alpha whose rows and columns fit the later blocks' rectangle, so
+    # no search is spent on a rest that no term of it can fit
+    calls = []
+    skew_under = lr_mod._skew_under
+
+    def recording(mu, alpha, rows, cols):
+        if alpha:
+            calls.append((mu, alpha, rows, cols))
+        return skew_under(mu, alpha, rows, cols)
+
+    monkeypatch.setattr(lr_mod, "_skew_under", recording)
+    for rects in _block_tuples(4, 4, 3):
+        for lam in SHAPES_4x4:
+            lr_mod._coproduct(lam, (), rects)
+    assert len(calls) == 3720
+    for mu, alpha, rows, cols in calls:
+        assert contains(alpha, mu), (mu, alpha)
+        a = alpha + (0,) * (len(mu) - len(alpha))
+        assert all(p - q <= cols for p, q in zip(mu, a)), (mu, alpha, rows, cols)
+        c = conjugate(alpha) + (0,) * mu[0]
+        assert all(p - q <= rows for p, q in zip(conjugate(mu), c)), (mu, alpha, rows, cols)
 
 
 def _memo_counts():

@@ -530,6 +530,19 @@ def test_gsp_holomorphic():
         gsp_holomorphic(3, 1, [0])
 
 
+def test_block_sizes_that_are_not_integers_are_refused():
+    # int() truncated [1.5, 1.5] to [1, 1], which fit rank 3
+    with pytest.raises(ValueError, match="block rows must be integers"):
+        gsp_holomorphic(3, 1, [1.5, 1.5])
+    with pytest.raises(ValueError, match="block rows must be integers"):
+        gsp_holomorphic(3, 1, ["2", "1"])
+    assert gsp_holomorphic(3, 1, [2.0, 1]) == (True, False)
+    pair = make_pair((1,), (2, 1), (2, 2))
+    with pytest.raises(ValueError, match="block sides must be integers"):
+        kunneth_vanishing(pair, [((2, 1.5), (1,), (2, 1))])
+    assert not kunneth_vanishing(pair, [((2.0, 2.0), (1,), (2, 1))])
+
+
 def test_symmetric_fat_hook():
     assert symmetric_fat_hook(3, 0) == ()
     assert symmetric_fat_hook(3, 1) == (3, 1, 1)

@@ -61,6 +61,14 @@ def test_tableau_validates():
         tableau(((1, 1), ()), [(1,), (1,)])  # column repeats
 
 
+def test_tableau_entries_that_are_not_integers_are_refused():
+    # int() would truncate 1.5 and parse "1"
+    for rows in ([[1.5, 2]], [["1", "2"]], [[None, 2]]):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            tableau(((2,), ()), rows)
+    assert tableau(((2,), ()), [[1.0, 2]]).rows == ((1, 2),)
+
+
 def test_product_needs_straight_shapes():
     s = parse_tableau(".1/2")
     with pytest.raises(SkewInputNotSupported):
