@@ -2,7 +2,7 @@
 
 Every run prints exactly one JSON document to stdout.  Domain failures
 exit 1 with {"error": code}, among them InputTooLarge for a pair window
-over shimura.MAX_PAIR_ROWS rows or columns; malformed invocations exit
+too large for shimura.iter_pairs to list; malformed invocations exit
 2 and write the complaint to stderr.  No command recurses, so an
 answer does not depend on the caller's stack depth.  --pretty sketches
 the shapes involved on stderr, leaving stdout machine-readable.
@@ -24,8 +24,9 @@ import functools
 import json
 import sys
 
-from .errors import AmbientNotSquare, DomainError, IncompatiblePair
+from .errors import DomainError, IncompatiblePair
 from .partition import (
+    _require_square,
     bar_closure,
     check_reduction,
     complement,
@@ -237,12 +238,11 @@ def _cmd_cohom_dual_class(args):
     else:
         if args.levi.strip():
             raise ValueError("--levi applies to --type unitary only, not %s" % args.type)
-        if ambient[0] != ambient[1]:
-            raise AmbientNotSquare("%dx%d" % ambient)
+        p = _require_square(ambient)
         if args.type == "gsp":
-            out = cohomology.dual_class_gsp(ambient[0])
+            out = cohomology.dual_class_gsp(p)
         else:
-            out = cohomology.dual_class_ostar(ambient[0])
+            out = cohomology.dual_class_ostar(p)
     return _class_doc(out), [("dual", k) for k in out.terms]
 
 
@@ -255,7 +255,7 @@ def _cmd_sh_pairs(args):
     if args.bidegree:
         i, j = _split(args.bidegree, ",", 2, "I,J")
         bidegree = (int(i), int(j))
-    pairs = shimura.enumerate_pairs(_ambient(args), args.type, bidegree)
+    pairs = shimura.iter_pairs(_ambient(args), args.type, bidegree)
     doc = {
         "pairs": [
             {"lambda": format_partition(p.lam), "mu": format_partition(p.mu)}

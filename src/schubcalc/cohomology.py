@@ -12,29 +12,21 @@ their boxes, so cup, cup_tensor, restrict_levi and dual_class_unitary
 build their results straight from the canonical keys of lr's private
 cores, with no second check.  A class built by hand must keep the same
 rule: canonical keys, each inside its box, with int coefficients.  The
-constructors refuse a coefficient that is not an integer (0.5, "1")
-with ValueError; a float of integer value, such as 2.0, becomes an int.
+constructors read coefficients by the parts' rule, errors._integers:
+0.5, "1" or NaN is refused with ValueError, and 2.0 becomes an int.
 """
 
 from operator import attrgetter
 
-from .errors import (
-    AmbientMismatch,
-    AmbientNotSquare,
-    DegreeOutOfRange,
-    LeviDoesNotFit,
-    ShapeNotSymmetric,
-    ShapeOutOfBox,
-    _integers,
-)
-from .lr import _coproduct, _expand, _product, diagonal_splits
+from .errors import AmbientMismatch, DegreeOutOfRange, LeviDoesNotFit, _integers
+from .lr import _coproduct, _expand, _product, _symmetric, diagonal_splits
 from .partition import (
+    _inside,
+    _require_square,
     complement,
     conjugate,
-    fits,
     from_plus_part,
     is_strict,
-    is_symmetric,
     partition,
     plus_part,
     rect,
@@ -47,14 +39,6 @@ def _normalize_terms(terms, sortfn):
     # int() before the zeros go, so no class keeps a zero-valued term
     clean = [(k, c) for k, c in zip(terms, map(int, terms.values())) if c]
     return dict(sorted(clean, key=sortfn))
-
-
-def _integer(c):
-    # an int, or a float of integer value such as 2.0; int() would round
-    # 0.5 to a zero term
-    if isinstance(c, int) or isinstance(c, float) and c.is_integer():
-        return c
-    raise ValueError("coefficients must be integers, got %r" % (c,))
 
 
 # bound once: looking up object.__setattr__ for every field made a
@@ -146,20 +130,17 @@ class LeviShape(_Record):
 
 
 def cohom_class(ambient, terms):
+    ambient = _integers(ambient, "ambient sides")
     out = {}
     for lam, c in terms.items():
-        lam = partition(lam)
-        if not fits(lam, *ambient):
-            raise ShapeOutOfBox("%r outside %dx%d" % (lam, *ambient))
-        out[lam] = out.get(lam, 0) + _integer(c)
-    return CohomClass(tuple(ambient), _normalize_terms(out, lambda kv: sort_key(kv[0])))
+        lam = _inside(partition(lam), *ambient)
+        out[lam] = out.get(lam, 0) + _integers((c,), "coefficients")[0]
+    return CohomClass(ambient, _normalize_terms(out, lambda kv: sort_key(kv[0])))
 
 
 def schubert_class(ambient, lam):
-    lam = partition(lam)
-    if not fits(lam, *ambient):
-        raise ShapeOutOfBox("%r outside %dx%d" % (lam, *ambient))
-    return CohomClass(tuple(ambient), {lam: 1})
+    ambient = _integers(ambient, "ambient sides")
+    return CohomClass(ambient, {_inside(partition(lam), *ambient): 1})
 
 
 def unit(ambient):
@@ -167,16 +148,15 @@ def unit(ambient):
 
 
 def tensor_class(factors, terms):
-    factors = tuple(tuple(b) for b in factors)
+    factors = tuple(_integers(b, "block sides") for b in factors)
     out = {}
     for lams, c in terms.items():
         lams = tuple(partition(l) for l in lams)
         if len(lams) != len(factors):
             raise ValueError("expected %d components" % len(factors))
         for l, box in zip(lams, factors):
-            if not fits(l, *box):
-                raise ShapeOutOfBox("%r outside %dx%d" % (l, *box))
-        out[lams] = out.get(lams, 0) + _integer(c)
+            _inside(l, *box)
+        out[lams] = out.get(lams, 0) + _integers((c,), "coefficients")[0]
     key = lambda kv: tuple(sort_key(l) for l in kv[0])
     return TensorClass(factors, _normalize_terms(out, key))
 
@@ -217,6 +197,7 @@ def cup_tensor(x, y):
 
 def chern_t(ambient, k):
     """k-th Chern class of the tautological bundle side: a column shape."""
+    (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[0]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[0]))
     return schubert_class(ambient, (1,) * k)
@@ -282,12 +263,6 @@ def dual_class_unitary(ambient, levi):
     return CohomClass(tuple(ambient), _normalize_terms(terms, lambda kv: sort_key(kv[0])))
 
 
-def _require_square(ambient):
-    if ambient[0] != ambient[1]:
-        raise AmbientNotSquare("%dx%d" % ambient)
-    return ambient[0]
-
-
 def _restrict_isotropic(x, p, flavor, qualifies, key_of):
     # each basis shape that qualifies, or else whose transpose does, is
     # kept under key_of of the one that qualifies; the rest are dropped
@@ -325,11 +300,13 @@ def restrict_to_orthogonal(x):
 
 def dual_class_gsp(p):
     """Dual of the symplectic-type orbit in the p x p window."""
+    (p,) = _integers((p,), "ranks")
     return schubert_class((p, p), staircase(p - 1))
 
 
 def dual_class_ostar(p):
     """Dual of the quaternionic-type orbit in the p x p window."""
+    (p,) = _integers((p,), "ranks")
     return schubert_class((p, p), staircase(p))
 
 
@@ -348,10 +325,8 @@ def restrict_symplectic_levi_support(nu, levi, p):
     """Index pairs (center shape, block shapes) that can appear in the
     restriction of the class of nu to a diagonal-block Levi."""
     nu = partition(nu)
-    if not is_symmetric(nu):
-        raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
-    if not fits(nu, p, p):
-        raise ShapeOutOfBox("%r outside %dx%d" % (nu, p, p))
+    (p,) = _integers((p,), "ranks")
+    nu = _inside(_symmetric(nu, nu), p, p)
     levi = check_levi_square(p, levi)
     splits = diagonal_splits(plus_part(nu), levi.center, levi.rects, plus_part)
     found = {(() if w.center is None else w.center, w.gammas) for w in splits}

@@ -3,20 +3,23 @@
 Every error carries a stable ``code`` (the class name) so the CLI can
 report failures as machine-readable JSON without string matching.
 
-Every layer reads the integers it is given (a partition's parts, a
-block side, a tableau entry) through _integers, which refuses a value
+Every layer reads the integers it is given (a part, a side, a rank, a
+tableau entry, a coefficient) through _integers, which refuses a value
 int() would change with ValueError.
 """
 
 
 def _integers(values, what):
-    # the values as a tuple of ints: each must be an int, or a float of
-    # integer value such as 2.0; any other value, such as 2.5, "3", None
-    # or infinity, raises ValueError, as int() would truncate or parse it
+    # the values as a tuple of ints: each must be an int, or a number of
+    # integer value such as 2.0; any other value, such as 2.5, "3", None,
+    # NaN or infinity, raises ValueError, as int() would truncate or parse it
     values = tuple(values)
     try:
         ints = tuple(map(int, values))
-    except (TypeError, OverflowError):
+    except (TypeError, OverflowError, ValueError) as err:
+        # only NaN is unequal to itself; a string int() cannot parse keeps int()'s message
+        if isinstance(err, ValueError) and all(v == v for v in values):
+            raise
         ints = None
     # 2.0 == 2, but 2.5 != 2 and "3" != 3
     if ints != values:

@@ -17,7 +17,7 @@ theirs from positive hook lengths.
 
 import math
 
-from .errors import NotSymmetric, ShapeOutOfBox, _integers
+from .errors import AmbientNotSquare, NotSymmetric, ShapeOutOfBox, _integers
 
 
 def _trim(parts):
@@ -112,11 +112,23 @@ def fits(lam, rows, cols):
     return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
-def complement(lam, rows, cols):
-    """Rotate the complement of lam inside rows x cols by a half turn."""
+def _inside(lam, rows, cols):
+    # lam, refused unless it fits in rows x cols
     if not fits(lam, rows, cols):
         raise ShapeOutOfBox("%r does not fit in %dx%d" % (lam, rows, cols))
-    padded = lam + (0,) * (rows - len(lam))
+    return lam
+
+
+def _require_square(ambient):
+    # the side of a square window; any other window is refused
+    if ambient[0] != ambient[1]:
+        raise AmbientNotSquare("%dx%d" % ambient)
+    return ambient[0]
+
+
+def complement(lam, rows, cols):
+    """Rotate the complement of lam inside rows x cols by a half turn."""
+    padded = _inside(lam, rows, cols) + (0,) * (rows - len(lam))
     return _trim(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
 
 

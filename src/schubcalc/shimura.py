@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .cohomology import LeviShape, _check_blocks, _Record, _set_field, check_levi_unitary
 from .errors import (
-    AmbientNotSquare,
     BoundExceeded,
     IncompatiblePair,
     InputTooLarge,
@@ -31,6 +30,8 @@ from .errors import (
 from .lr import _graded_product, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
 from .partition import (
+    _inside,
+    _require_square,
     complement,
     contains,
     enumerate_in_rectangle,
@@ -73,21 +74,23 @@ _set_lam, _set_mu, _set_ambient, _set_flavor, _set_chain = (
 
 
 def _check_flavor(ambient, flavor):
+    # the window's sides as ints; a square flavor needs a square window
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % flavor)
-    if flavor != "unitary" and ambient[0] != ambient[1]:
-        raise AmbientNotSquare("%dx%d" % ambient)
+    ambient = _integers(ambient, "window sides")
+    if flavor != "unitary":
+        _require_square(ambient)
+    return ambient
 
 
 def make_pair(lam, mu, ambient, flavor="unitary"):
     """Validate a user-supplied pair and read off its chain."""
-    lam, mu, ambient = partition(lam), partition(mu), tuple(ambient)
-    _check_flavor(ambient, flavor)
+    lam, mu = partition(lam), partition(mu)
+    ambient = _check_flavor(ambient, flavor)
     if flavor != "unitary":
         for shape in (lam, mu):
             _symmetric(shape, shape)
-    if not fits(mu, *ambient):
-        raise ShapeOutOfBox("%r outside %dx%d" % (mu, *ambient))
+    _inside(mu, *ambient)
     if not contains(lam, mu):
         raise IncompatiblePair("%r not contained in %r" % (lam, mu))
     chain = rectangle_decomposition(SkewShape(mu, lam))
@@ -139,10 +142,10 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
     nothing is tested and rejected; a unitary bidegree (i, j) builds
     only the chains of area |mu| - i.  The lam of one mu are put in graded
     order by sorting on the chain area.  A window with rows and columns,
-    over MAX_PAIR_ROWS of either, raises InputTooLarge on the first read.
+    over MAX_PAIR_ROWS of either, or a square-flavor one of side over 15,
+    raises InputTooLarge on the first read.
     """
-    ambient = tuple(ambient)
-    _check_flavor(ambient, flavor)
+    ambient = _check_flavor(ambient, flavor)
     if bidegree is not None:
         bidegree = tuple(bidegree)
         if len(bidegree) != 2:
@@ -155,6 +158,9 @@ def _walk(ambient, flavor, bidegree, least):
     if min(ambient) > 0 and max(ambient) > MAX_PAIR_ROWS:
         raise InputTooLarge("%dx%d has more than %d rows or columns" % (*ambient, MAX_PAIR_ROWS))
     square = flavor != "unitary"
+    # square-flavor pairs: 2^(p-1) (p+2) in p x p, against (m+1) (m+2) / 2 in m x 1
+    if square and 2 ** ambient[0] * (ambient[0] + 2) > (MAX_PAIR_ROWS + 1) * (MAX_PAIR_ROWS + 2):
+        raise InputTooLarge("%dx%d holds more pairs than %dx1" % (*ambient, MAX_PAIR_ROWS))
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
     # the window's own tuple for each lam; None for a square flavor's non-symmetric lam
     shared = {shape: shape for shape in shapes}
@@ -247,7 +253,7 @@ def injectivity_unitary(pair, levi):
 
 def fat_hook(ambient, r, s):
     """The partition with r full rows and width s below them."""
-    p, q = ambient
+    p, q, r, s = _integers((*ambient, r, s), "window sides and corners")
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
     return partition((q,) * r + (s,) * (p - r))
@@ -255,13 +261,13 @@ def fat_hook(ambient, r, s):
 
 def fat_hook_labels(ambient):
     """Canonical (r, s) labels, one per distinct fat hook."""
-    p, q = ambient
+    p, q = _integers(ambient, "window sides")
     return [(r, s) for r in range(p) for s in range(q)] + [(p, 0)]
 
 
 def injectivity_holomorphic_u(ambient, r, s, levi):
     """Closed-form answer for fat-hook pairs (full window above)."""
-    p, q = ambient
+    p, q, r, s = _integers((*ambient, r, s), "window sides and corners")
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
     levi = check_levi_unitary(ambient, levi)
@@ -289,6 +295,7 @@ def injectivity_gsp(pair):
 
 def symmetric_fat_hook(p, r):
     """The self-conjugate hook family (r full rows, r full columns)."""
+    p, r = _integers((p, r), "ranks and indices")
     if not 0 <= r <= p:
         raise ValueError("r=%d outside 0..%d" % (r, p))
     return partition((p,) * r + (r,) * (p - r))
@@ -300,6 +307,7 @@ def gsp_holomorphic(p, r, block_rows):
     Returns (injective, constant): the r = 0 member is the constant
     class, reported separately rather than through the main formula.
     """
+    p, r = _integers((p, r), "ranks and indices")
     if not 0 <= r <= p:
         raise ValueError("r=%d outside 0..%d" % (r, p))
     block_rows = _integers(block_rows, "block rows")
@@ -355,7 +363,7 @@ def vanishing_criterion(pair, a, side):
 
 
 def low_degree_bound(ambient):
-    p, q = ambient
+    p, q = _integers(ambient, "window sides")
     if p < 0 or q < 0:
         raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
     return 3 * p - 2 if p == q else p + q - 1
@@ -388,7 +396,7 @@ def arthur_cover(ambient, max_degree):
     degree is pq minus its chain's area, so only the pairs of area at
     least pq - max_degree, the ones kept, are built.
     """
-    p, q = ambient
+    p, q, max_degree = _integers((*ambient, max_degree), "window sides and degrees")
     if max_degree >= low_degree_bound(ambient):
         raise BoundExceeded(
             "max degree %d not below bound %d" % (max_degree, low_degree_bound(ambient))
@@ -414,7 +422,7 @@ def arthur_cover(ambient, max_degree):
 def partha_decomposition(ambient, degree):
     """Window sizes (a, b) whose classes land in the given codegree;
     the top codegree is carried by the point stratum (0, 0)."""
-    p, q = ambient
+    p, q, degree = _integers((*ambient, degree), "window sides and degrees")
     if p < 0 or q < 0:
         raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
     if not 0 <= degree <= p * q:
@@ -482,6 +490,7 @@ def _ostar_shapes(p):
 
 def ostar_holomorphic_components(p):
     """The two holomorphic families of the quaternionic window."""
+    (p,) = _integers((p,), "ranks")
     if p < 2:
         raise ValueError("rank must be at least 2")
     out = []

@@ -85,6 +85,13 @@ def test_pair_windows_above_the_row_limit_are_refused(capsys):
         assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', ""), argv
 
 
+def test_square_flavor_pair_windows_over_side_15_are_refused(capsys):
+    # refused before a pair is printed
+    for flavor in ("symplectic", "orthogonal"):
+        argv = ("shimura", "pairs", "--p", "16", "--q", "16", "--type", flavor)
+        assert run(capsys, *argv) == (1, '{"error":"InputTooLarge"}\n', ""), argv
+
+
 def test_restrictions_to_hundreds_of_blocks_are_answered(capsys):
     # the restriction takes the Levi blocks off in a loop, so 400 blocks
     # need no deeper stack than one
