@@ -14,11 +14,15 @@ cores, with no second check.  A class built by hand must keep the same
 rule: canonical keys, each inside its box, with int coefficients.  The
 constructors read coefficients by the parts' rule, errors._integers:
 0.5, "1" or NaN is refused with ValueError, and 2.0 becomes an int.
+Windows and boxes are read by errors._window, which also refuses a
+negative side.  _levi_support is the one builder of a type-A Levi's
+support, the product of its full blocks inside the window, with each
+shape's complement; dual_class_unitary and injectivity_unitary read it.
 """
 
 from operator import attrgetter
 
-from .errors import AmbientMismatch, DegreeOutOfRange, LeviDoesNotFit, _integers
+from .errors import AmbientMismatch, DegreeOutOfRange, LeviDoesNotFit, _integers, _window
 from .lr import _coproduct, _expand, _product, _symmetric, diagonal_splits
 from .partition import (
     _inside,
@@ -130,7 +134,7 @@ class LeviShape(_Record):
 
 
 def cohom_class(ambient, terms):
-    ambient = _integers(ambient, "ambient sides")
+    ambient = _window(ambient)
     out = {}
     for lam, c in terms.items():
         lam = _inside(partition(lam), *ambient)
@@ -139,7 +143,7 @@ def cohom_class(ambient, terms):
 
 
 def schubert_class(ambient, lam):
-    ambient = _integers(ambient, "ambient sides")
+    ambient = _window(ambient)
     return CohomClass(ambient, {_inside(partition(lam), *ambient): 1})
 
 
@@ -148,7 +152,7 @@ def unit(ambient):
 
 
 def tensor_class(factors, terms):
-    factors = tuple(_integers(b, "block sides") for b in factors)
+    factors = tuple(map(_window, factors))
     out = {}
     for lams, c in terms.items():
         lams = tuple(partition(l) for l in lams)
@@ -205,6 +209,7 @@ def chern_t(ambient, k):
 
 def chern_q(ambient, k):
     """k-th Chern class of the quotient side: a row shape."""
+    (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[1]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[1]))
     return schubert_class(ambient, (k,))
@@ -235,14 +240,19 @@ def _check_blocks(rects, rows, cols):
 def check_levi_unitary(ambient, levi):
     """The Levi with int sides, refused unless its blocks fit side by side
     in the ambient and it has no diagonal block."""
+    return LeviShape(_unitary_blocks(_window(ambient), levi))
+
+
+def _unitary_blocks(ambient, levi):
+    # check_levi_unitary's blocks, in an ambient of int sides already read
     if levi.center is not None:
         raise LeviDoesNotFit("a type-A Levi has no diagonal block")
-    return LeviShape(_check_blocks(levi.rects, *ambient))
+    return _check_blocks(levi.rects, *ambient)
 
 
 def restrict_levi(x, levi):
     """Restriction to a product of block factors, one per Levi rectangle."""
-    rects = check_levi_unitary(x.ambient, levi).rects
+    rects = _unitary_blocks(x.ambient, levi)
     # _coproduct builds each block shape inside its box, so the terms
     # skip tensor_class's checks
     out = {}
@@ -255,12 +265,21 @@ def restrict_levi(x, levi):
 def dual_class_unitary(ambient, levi):
     """Class carried by the Levi orbit: one basis term per complemented
     support shape, normalized so the orbit itself appears with weight 1."""
-    levi = check_levi_unitary(ambient, levi)
-    full = [rect(a, b) for a, b in levi.rects]
-    support = _product(full, rect(*ambient))
+    ambient = _window(ambient)
     # complements of canonical shapes in the window: no cohom_class check
-    terms = {complement(nu, *ambient): m for nu, m in support.items()}
-    return CohomClass(tuple(ambient), _normalize_terms(terms, lambda kv: sort_key(kv[0])))
+    terms = {top: m for _, top, m in _levi_support(ambient, levi)}
+    return CohomClass(ambient, _normalize_terms(terms, lambda kv: sort_key(kv[0])))
+
+
+def _levi_support(ambient, levi):
+    # (nu, complement of nu in the window, multiplicity) over the product
+    # of the Levi's full blocks kept inside the window, in nu's graded
+    # order; ambient holds int sides already read, the Levi is checked on
+    # the first read, and each complement is taken only when it is reached
+    rects = _unitary_blocks(ambient, levi)
+    support = _product([rect(a, b) for a, b in rects], rect(*ambient))
+    for nu in sorted(support, key=sort_key):
+        yield nu, complement(nu, *ambient), support[nu]
 
 
 def _restrict_isotropic(x, p, flavor, qualifies, key_of):
@@ -313,6 +332,7 @@ def dual_class_ostar(p):
 def check_levi_square(p, levi):
     """The Levi with int sides, refused unless it has a diagonal block of
     nonnegative side and its blocks fit beside it in the p x p window."""
+    (p,) = _integers((p,), "ranks")
     if levi.center is None:
         raise LeviDoesNotFit("this Levi needs a diagonal block")
     (center,) = _integers((levi.center,), "diagonal block sides")

@@ -1,11 +1,13 @@
-"""Domain errors shared across the package, and its one integer rule.
+"""Domain errors shared across the package, and its integer and window rules.
 
 Every error carries a stable ``code`` (the class name) so the CLI can
 report failures as machine-readable JSON without string matching.
 
 Every layer reads the integers it is given (a part, a side, a rank, a
 tableau entry, a coefficient) through _integers, which refuses a value
-int() would change with ValueError.
+int() would change with ValueError.  Every window or box it is given
+(rows, cols) is read through _window, which also refuses a negative
+side with ValueError.
 """
 
 
@@ -25,6 +27,15 @@ def _integers(values, what):
     if ints != values:
         raise ValueError("%s must be integers, got %r" % (what, values))
     return ints
+
+
+def _window(ambient):
+    # the two sides of a window or box as ints, by _integers' rule, each
+    # refused with ValueError unless nonnegative
+    p, q = _integers(ambient, "window sides")
+    if p < 0 or q < 0:
+        raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
+    return p, q
 
 
 class DomainError(Exception):

@@ -5,12 +5,13 @@ engine; count_images and the tableau product and rectification are kept
 only as independent cross-checks.
 
 Each public function normalizes the shapes it is given with partition(),
-once.  The private cores below them (_expand, _product, _coproduct,
-_graded_product, _multi_coefficient, _witness and _inscribes_diagonal)
-take canonical tuples, check nothing, and return canonical keys, which
-callers trust in turn.  The cohomology and shimura layers call the cores
-directly with the shapes of pairs from make_pair or iter_pairs and of
-classes from the cohomology constructors, which are canonical already.
+once, and each box (rows, cols) with errors._window.  The private cores
+below them (_expand, _product, _coproduct, _multi_coefficient, _witness
+and _inscribes_diagonal) take canonical tuples, check nothing, and
+return canonical keys, which callers trust in turn.  The cohomology and
+shimura layers call the cores directly with the shapes of pairs from
+make_pair or iter_pairs and of classes from the cohomology
+constructors, which are canonical already.
 
 A two-shape product is one ballot search over the disconnected skew
 nu*lam, as s_lam s_nu = s_{nu*lam} (Macdonald, Symmetric Functions and
@@ -92,7 +93,7 @@ import os
 from collections import Counter
 from typing import NamedTuple, Optional
 
-from .errors import ShapeNotSymmetric
+from .errors import ShapeNotSymmetric, _window
 from .partition import (
     _shapes_under,
     _trim,
@@ -307,7 +308,7 @@ def schur_expand(lam, nu, box=None):
     that window, so the result is the full product restricted to the
     window; a product of degree above rows * cols is empty at once.
     """
-    outer = None if box is None else rect(*box)
+    outer = None if box is None else rect(*_window(box))
     return dict(_expand(partition(lam), partition(nu), outer))
 
 
@@ -318,13 +319,8 @@ def expand_product(factors, box=None):
     window, as in schur_expand, so the result is the full product
     restricted to the window.
     """
-    outer = None if box is None else rect(*box)
-    return _graded_product([partition(f) for f in factors], outer)
-
-
-def _graded_product(factors, outer):
-    # expand_product of canonical factors kept inside the shape outer
-    acc = _product(factors, outer)
+    outer = None if box is None else rect(*_window(box))
+    acc = _product([partition(f) for f in factors], outer)
     return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
 
 

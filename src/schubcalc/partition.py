@@ -17,7 +17,7 @@ theirs from positive hook lengths.
 
 import math
 
-from .errors import AmbientNotSquare, NotSymmetric, ShapeOutOfBox, _integers
+from .errors import AmbientNotSquare, NotSymmetric, ShapeOutOfBox, _integers, _window
 
 
 def _trim(parts):
@@ -224,8 +224,7 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
     first part a is a hook of a cells across and a cells down wrapped
     around a symmetric shape inside (a-1) x (a-1).
     """
-    if rows < 0 or cols < 0:
-        raise ValueError("rectangle sides must be nonnegative: %dx%d" % (rows, cols))
+    rows, cols = _window((rows, cols))
     if symmetric_only:
         out = [()]
         for a in range(1, min(rows, cols) + 1):
@@ -239,4 +238,5 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
 
 def count_in_rectangle(rows, cols):
     """Closed-form count of partitions inside rows x cols."""
+    rows, cols = _window((rows, cols))
     return math.comb(rows + cols, rows)

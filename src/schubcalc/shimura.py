@@ -16,7 +16,14 @@ its chain: the criteria read the pair's blocks off pair.chain, not its skew.
 import itertools
 from typing import NamedTuple
 
-from .cohomology import LeviShape, _check_blocks, _Record, _set_field, check_levi_unitary
+from .cohomology import (
+    LeviShape,
+    _check_blocks,
+    _levi_support,
+    _Record,
+    _set_field,
+    _unitary_blocks,
+)
 from .errors import (
     BoundExceeded,
     IncompatiblePair,
@@ -26,8 +33,9 @@ from .errors import (
     ShapeOutOfBox,
     TrivialPairExcluded,
     _integers,
+    _window,
 )
-from .lr import _graded_product, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
+from .lr import _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
 from .partition import (
     _inside,
@@ -77,7 +85,7 @@ def _check_flavor(ambient, flavor):
     # the window's sides as ints; a square flavor needs a square window
     if flavor not in FLAVORS:
         raise ValueError("unknown flavor %r" % flavor)
-    ambient = _integers(ambient, "window sides")
+    ambient = _window(ambient)
     if flavor != "unitary":
         _require_square(ambient)
     return ambient
@@ -243,17 +251,16 @@ def injectivity_unitary(pair, levi):
     """
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
-    levi = check_levi_unitary(pair.ambient, levi)
-    full = [rect(a, b) for a, b in levi.rects]
-    for nu in _graded_product(full, rect(*pair.ambient)):
-        if _witness(complement(nu, *pair.ambient), pair.lam, pair.mu) is not None:
+    for nu, top, _ in _levi_support(pair.ambient, levi):
+        if _witness(top, pair.lam, pair.mu) is not None:
             return True, nu
     return False, None
 
 
 def fat_hook(ambient, r, s):
     """The partition with r full rows and width s below them."""
-    p, q, r, s = _integers((*ambient, r, s), "window sides and corners")
+    p, q = _window(ambient)
+    r, s = _integers((r, s), "corners")
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
     return partition((q,) * r + (s,) * (p - r))
@@ -261,25 +268,27 @@ def fat_hook(ambient, r, s):
 
 def fat_hook_labels(ambient):
     """Canonical (r, s) labels, one per distinct fat hook."""
-    p, q = _integers(ambient, "window sides")
+    p, q = _window(ambient)
     return [(r, s) for r in range(p) for s in range(q)] + [(p, 0)]
 
 
 def injectivity_holomorphic_u(ambient, r, s, levi):
     """Closed-form answer for fat-hook pairs (full window above)."""
-    p, q, r, s = _integers((*ambient, r, s), "window sides and corners")
+    p, q = _window(ambient)
+    r, s = _integers((r, s), "corners")
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
-    levi = check_levi_unitary(ambient, levi)
-    if not levi.rects:
+    rects = _unitary_blocks((p, q), levi)
+    if not rects:
         return False
-    rows, cols = zip(*levi.rects)
+    rows, cols = zip(*rects)
     full_p = sum(rows) == p and r == 0 and s <= min(cols)
     return full_p or (sum(cols) == q and s == 0 and r <= min(rows))
 
 
 def gsp_stable_criterion(lam, mu, p):
     """Shared inscription test for the symplectic-type stable line."""
+    (p,) = _integers((p,), "ranks")
     nu = staircase(p - 1)
     s = skew(mu, lam)
     return _witness(nu, s.inner, s.outer) is not None
@@ -345,6 +354,7 @@ def vanishing_criterion(pair, a, side):
     """Degree bound forcing vanishing when the chain fills one side."""
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
+    (a,) = _integers((a,), "bounds")
     if a < 1:
         raise ValueError("block side bound must be at least 1")
     if side not in ("P", "Q"):
@@ -363,9 +373,7 @@ def vanishing_criterion(pair, a, side):
 
 
 def low_degree_bound(ambient):
-    p, q = _integers(ambient, "window sides")
-    if p < 0 or q < 0:
-        raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
+    p, q = _window(ambient)
     return 3 * p - 2 if p == q else p + q - 1
 
 
@@ -396,11 +404,11 @@ def arthur_cover(ambient, max_degree):
     degree is pq minus its chain's area, so only the pairs of area at
     least pq - max_degree, the ones kept, are built.
     """
-    p, q, max_degree = _integers((*ambient, max_degree), "window sides and degrees")
-    if max_degree >= low_degree_bound(ambient):
-        raise BoundExceeded(
-            "max degree %d not below bound %d" % (max_degree, low_degree_bound(ambient))
-        )
+    p, q = _window(ambient)
+    (max_degree,) = _integers((max_degree,), "degrees")
+    bound = low_degree_bound((p, q))
+    if max_degree >= bound:
+        raise BoundExceeded("max degree %d not below bound %d" % (max_degree, bound))
     out = []
     for pair in _walk((p, q), "unitary", None, p * q - max_degree):
         label = low_degree_structure(pair)
@@ -422,9 +430,8 @@ def arthur_cover(ambient, max_degree):
 def partha_decomposition(ambient, degree):
     """Window sizes (a, b) whose classes land in the given codegree;
     the top codegree is carried by the point stratum (0, 0)."""
-    p, q, degree = _integers((*ambient, degree), "window sides and degrees")
-    if p < 0 or q < 0:
-        raise ValueError("window sides must be nonnegative: %dx%d" % (p, q))
+    p, q = _window(ambient)
+    (degree,) = _integers((degree,), "degrees")
     if not 0 <= degree <= p * q:
         raise ValueError("degree %d outside 0..%d" % (degree, p * q))
     if degree == p * q:

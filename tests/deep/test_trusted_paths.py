@@ -58,6 +58,19 @@ def test_injectivity_unitary_on_every_pair_and_levi_up_to_4x4():
                 same_outcome(injectivity_unitary, injectivity_unitary_renormalizing, pair, levi)
 
 
+def test_injectivity_unitary_on_every_pair_and_one_block_levi_with_a_side_of_5():
+    # the windows up to 5x5 that the sweep above leaves out, each pair
+    # with every Levi of one block
+    cases = 0
+    for ambient in [(p, q) for p in range(1, 6) for q in range(1, 6) if max(p, q) == 5]:
+        levis = [LeviShape(rects) for rects in _block_tuples(*ambient, 1)]
+        for pair in enumerate_pairs(ambient):
+            for levi in levis:
+                same_outcome(injectivity_unitary, injectivity_unitary_renormalizing, pair, levi)
+            cases += len(levis)
+    assert cases == 157_500
+
+
 def test_injectivity_gsp_on_every_symplectic_pair_up_to_6x6():
     for p in range(1, 7):
         for pair in enumerate_pairs((p, p), "symplectic"):

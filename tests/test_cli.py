@@ -246,6 +246,12 @@ def test_shimura_pairs(capsys):
         ("shimura", "arthur", "--p", "-1", "--q", "2", "--max-degree", "-3"),
         ("shimura", "partha", "--p", "-2", "--degree", "1"),
         ("shimura", "partha", "--p", "2", "--q", "-1", "--degree", "1"),
+        ("shimura", "bidegree", "--p", "-1", "--q", "2", "--lambda=", "--mu="),
+        ("shimura", "chern-action", "--p", "-1", "--q", "2", "--lambda=", "--mu=", "--nu", "1"),
+        ("shimura", "inject", "--p", "-1", "--q", "2", "--lambda=", "--mu=", "--factors", "1x1"),
+        ("shimura", "kunneth-vanish", "--p", "-1", "--q", "2", "--lambda=", "--mu=", "--factor-pairs", "1x1:1:1"),
+        ("shimura", "vanish", "--p", "-1", "--q", "2", "--lambda=", "--mu=", "--side", "Q", "--bound", "1"),
+        ("shimura", "structure", "--p", "-1", "--q", "2", "--lambda=", "--mu="),
     ],
 )
 def test_shimura_negative_window_is_malformed(capsys, argv):

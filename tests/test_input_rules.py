@@ -1,6 +1,6 @@
 """The input rules each kept in one place: a shape fits its box, a
-window side, rank, index or coefficient is an integer, and a square
-flavor's pair window is small enough to list."""
+window side, rank, index or coefficient is an integer, a window side is
+nonnegative, and a square flavor's pair window is small enough to list."""
 
 import re
 from fractions import Fraction
@@ -9,22 +9,28 @@ import pytest
 
 from schubcalc.cohomology import (
     LeviShape,
+    check_levi_square,
+    check_levi_unitary,
+    chern_q,
     chern_t,
     cohom_class,
     dual_class_gsp,
     dual_class_ostar,
+    dual_class_unitary,
     restrict_symplectic_levi_support,
     schubert_class,
     tensor_class,
 )
 from schubcalc.errors import InputTooLarge, ShapeOutOfBox
-from schubcalc.partition import complement, partition
+from schubcalc.lr import expand_product, schur_expand
+from schubcalc.partition import complement, count_in_rectangle, enumerate_in_rectangle, partition
 from schubcalc.shimura import (
     arthur_cover,
     enumerate_pairs,
     fat_hook,
     fat_hook_labels,
     gsp_holomorphic,
+    gsp_stable_criterion,
     injectivity_holomorphic_u,
     iter_pairs,
     low_degree_bound,
@@ -32,6 +38,7 @@ from schubcalc.shimura import (
     ostar_holomorphic_components,
     partha_decomposition,
     symmetric_fat_hook,
+    vanishing_criterion,
 )
 
 
@@ -85,6 +92,15 @@ NON_INTEGER = {
     "partha_decomposition": lambda: partha_decomposition((2, 2), 1.5),
     "low_degree_bound": lambda: low_degree_bound((2.5, 2)),
     "fat_hook_labels": lambda: fat_hook_labels((2.5, 2)),
+    "vanishing_criterion": lambda: vanishing_criterion(make_pair((1, 1), (3, 3, 1), (3, 3)), 1.5, "Q"),
+    "check_levi_square": lambda: check_levi_square(2.5, LeviShape((), 1)),
+    "gsp_stable_criterion": lambda: gsp_stable_criterion((1,), (2, 1), 2.5),
+    "chern_q": lambda: chern_q((3, 3), 1.5),
+    "dual_class_unitary": lambda: dual_class_unitary((2.5, 3), LeviShape(((1, 1),))),
+    "schur_expand": lambda: schur_expand((1,), (1,), (2, 2.5)),
+    "expand_product": lambda: expand_product([(1,)], (2.5, 2)),
+    "enumerate_in_rectangle": lambda: enumerate_in_rectangle(2.5, 2),
+    "count_in_rectangle": lambda: count_in_rectangle(2.5, 2),
 }
 
 
@@ -92,6 +108,36 @@ NON_INTEGER = {
 def test_a_non_integer_window_rank_or_index_is_refused(name):
     with pytest.raises(ValueError, match="must be integers"):
         NON_INTEGER[name]()
+
+
+# every entry point that takes a window or box, given a negative side
+NEGATIVE_WINDOW = {
+    "make_pair": lambda w: make_pair((), (), w),
+    "iter_pairs": iter_pairs,
+    "fat_hook": lambda w: fat_hook(w, 0, 0),
+    "fat_hook_labels": fat_hook_labels,
+    "injectivity_holomorphic_u": lambda w: injectivity_holomorphic_u(w, 0, 0, LeviShape(())),
+    "low_degree_bound": low_degree_bound,
+    "arthur_cover": lambda w: arthur_cover(w, 0),
+    "partha_decomposition": lambda w: partha_decomposition(w, 0),
+    "cohom_class": lambda w: cohom_class(w, {(): 1}),
+    "schubert_class": lambda w: schubert_class(w, ()),
+    "tensor_class": lambda w: tensor_class((w,), {((),): 1}),
+    "check_levi_unitary": lambda w: check_levi_unitary(w, LeviShape(())),
+    "dual_class_unitary": lambda w: dual_class_unitary(w, LeviShape(())),
+    "enumerate_in_rectangle": lambda w: enumerate_in_rectangle(*w),
+    "count_in_rectangle": lambda w: count_in_rectangle(*w),
+    "schur_expand": lambda w: schur_expand((), (), w),
+    "expand_product": lambda w: expand_product([], w),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_WINDOW)
+@pytest.mark.parametrize("window", [(-1, 2), (2, -1)])
+def test_a_negative_window_side_is_refused_everywhere(name, window):
+    want = "window sides must be nonnegative: %dx%d" % window
+    with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+        NEGATIVE_WINDOW[name](window)
 
 
 @pytest.mark.parametrize("flavor", ["symplectic", "orthogonal"])
