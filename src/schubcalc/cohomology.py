@@ -17,9 +17,14 @@ constructors read coefficients by the parts' rule, errors._integers:
 Windows and boxes are read by errors._window, which also refuses a
 negative side.  _levi_support is the one builder of a type-A Levi's
 support, the product of its full blocks inside the window, with each
-shape's complement; dual_class_unitary and injectivity_unitary read it.
+shape's complement.  It is a functools.cache table keyed by the window
+and the checked blocks, kept for the run, so a repeated
+dual_class_unitary or injectivity_unitary (arthur_cover's too) builds
+no product; both check the Levi on every call, before the lookup, so a
+refused Levi is refused every time.
 """
 
+import functools
 from operator import attrgetter
 
 from .errors import AmbientMismatch, DegreeOutOfRange, LeviDoesNotFit, _integers, _window
@@ -201,18 +206,22 @@ def cup_tensor(x, y):
 
 def chern_t(ambient, k):
     """k-th Chern class of the tautological bundle side: a column shape."""
+    ambient = _window(ambient)
     (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[0]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[0]))
-    return schubert_class(ambient, (1,) * k)
+    # a column of k <= rows cells is canonical and inside the window
+    return CohomClass(ambient, {(1,) * k: 1})
 
 
 def chern_q(ambient, k):
     """k-th Chern class of the quotient side: a row shape."""
+    ambient = _window(ambient)
     (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[1]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[1]))
-    return schubert_class(ambient, (k,))
+    # a row of k <= cols cells is canonical and inside the window
+    return CohomClass(ambient, {(k,): 1})
 
 
 def poincare_pair(x, y):
@@ -267,19 +276,18 @@ def dual_class_unitary(ambient, levi):
     support shape, normalized so the orbit itself appears with weight 1."""
     ambient = _window(ambient)
     # complements of canonical shapes in the window: no cohom_class check
-    terms = {top: m for _, top, m in _levi_support(ambient, levi)}
+    terms = {top: m for _, top, m in _levi_support(ambient, _unitary_blocks(ambient, levi))}
     return CohomClass(ambient, _normalize_terms(terms, lambda kv: sort_key(kv[0])))
 
 
-def _levi_support(ambient, levi):
-    # (nu, complement of nu in the window, multiplicity) over the product
-    # of the Levi's full blocks kept inside the window, in nu's graded
-    # order; ambient holds int sides already read, the Levi is checked on
-    # the first read, and each complement is taken only when it is reached
-    rects = _unitary_blocks(ambient, levi)
+@functools.cache
+def _levi_support(ambient, rects):
+    # ((nu, complement of nu in the window, multiplicity), ...) over the
+    # product of the full blocks kept inside the window, in nu's graded
+    # order; ambient holds int sides already read and rects the blocks
+    # _unitary_blocks checked.  A hit returns the table's own tuple
     support = _product([rect(a, b) for a, b in rects], rect(*ambient))
-    for nu in sorted(support, key=sort_key):
-        yield nu, complement(nu, *ambient), support[nu]
+    return tuple((nu, complement(nu, *ambient), support[nu]) for nu in sorted(support, key=sort_key))
 
 
 def _restrict_isotropic(x, p, flavor, qualifies, key_of):

@@ -247,11 +247,21 @@ def injectivity_unitary(pair, levi):
     """Stable injectivity test: some support shape of the Levi's full
     blocks must leave room for its complement inside the pair's window.
 
+    The Levi is checked on every call; its support, with each shape's
+    complement, is built once per window and blocks and kept for the run.
+    Every support shape has area sum(a_i b_i), so every complement has
+    pq - sum(a_i b_i) cells; when that is more than the skew mu/lam
+    holds, the answer is no and nothing is searched.
+
     Returns (answer, witness shape or None).
     """
     if pair.flavor != "unitary":
         raise ValueError("unitary pairs only")
-    for nu, top, _ in _levi_support(pair.ambient, levi):
+    rects = _unitary_blocks(pair.ambient, levi)
+    p, q = pair.ambient
+    if p * q - sum(a * b for a, b in rects) > sum(pair.mu) - sum(pair.lam):
+        return False, None
+    for nu, top, _ in _levi_support((p, q), rects):
         if _witness(top, pair.lam, pair.mu) is not None:
             return True, nu
     return False, None

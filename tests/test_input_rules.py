@@ -123,6 +123,8 @@ NEGATIVE_WINDOW = {
     "cohom_class": lambda w: cohom_class(w, {(): 1}),
     "schubert_class": lambda w: schubert_class(w, ()),
     "tensor_class": lambda w: tensor_class((w,), {((),): 1}),
+    "chern_t": lambda w: chern_t(w, 1),
+    "chern_q": lambda w: chern_q(w, 1),
     "check_levi_unitary": lambda w: check_levi_unitary(w, LeviShape(())),
     "dual_class_unitary": lambda w: dual_class_unitary(w, LeviShape(())),
     "enumerate_in_rectangle": lambda w: enumerate_in_rectangle(*w),

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schubcalc.cohomology as cohom_mod
 import schubcalc.lr as lr_mod
 from schubcalc.cohomology import (
     CohomClass,
@@ -15,7 +16,7 @@ from schubcalc.cohomology import (
     restrict_symplectic_levi_support,
     schubert_class,
 )
-from schubcalc.errors import IncompatiblePair, ShapeNotSymmetric
+from schubcalc.errors import IncompatiblePair, LeviDoesNotFit, ShapeNotSymmetric
 from schubcalc.lr import (
     SymWitness,
     count_images,
@@ -42,7 +43,7 @@ from schubcalc.partition import (
     rect,
     sort_key,
 )
-from schubcalc.shimura import enumerate_pairs, injectivity_unitary
+from schubcalc.shimura import enumerate_pairs, injectivity_unitary, make_pair
 from schubcalc.skew import (
     SkewShape,
     concat,
@@ -63,7 +64,8 @@ MEMOIZED = (lr_mod._coefficient, lr_mod._expand_pair, lr_mod._coproduct, lr_mod.
 
 
 def _clear_memo():
-    for helper in MEMOIZED:
+    # lr's tables and cohomology's support of each (window, Levi blocks)
+    for helper in MEMOIZED + (cohom_mod._levi_support,):
         helper.cache_clear()
 
 
@@ -1096,6 +1098,85 @@ def test_memo_tables_count_hits_and_misses(cold_call, warm_call, cold, warm, mon
     for name, (hits, misses) in warm.items():
         assert misses == cold[name][1] and hits >= cold[name][0]
     assert sum(h for h, _ in warm.values()) > sum(h for h, _ in cold.values())
+
+
+# a 4x4 pair whose skew (4,4,4,1)/(1,1,1) holds 10 cells
+_PAIR = make_pair((1, 1, 1), (4, 4, 4, 1), (4, 4))
+
+
+@pytest.mark.parametrize(
+    "call, again",
+    [
+        # the warm call names the same blocks as lists
+        (
+            lambda: injectivity_unitary(_PAIR, LeviShape(((1, 3), (3, 1)))),
+            lambda: injectivity_unitary(_PAIR, LeviShape([[1, 3], [3, 1]])),
+        ),
+        (
+            lambda: dual_class_unitary((5, 5), LeviShape(((2, 3), (3, 2)))),
+            lambda: dual_class_unitary([5, 5], LeviShape([[2, 3], [3, 2]])),
+        ),
+    ],
+    ids=["injectivity_unitary", "dual_class_unitary"],
+)
+def test_levi_support_is_built_once_per_window_and_blocks(call, again, cold_memo):
+    first = call()
+    assert cohom_mod._levi_support.cache_info()[:2] == (0, 1)
+    expanded = lr_mod._expand_pair.cache_info()
+    for hits in (1, 2):
+        assert again() == first
+        assert cohom_mod._levi_support.cache_info()[:2] == (hits, 1)
+    # the warm calls build no product: the table holds the support
+    assert lr_mod._expand_pair.cache_info().misses == expanded.misses
+
+
+@pytest.mark.parametrize(
+    "pair, rects",
+    [
+        # complements of 16 - 4 = 12 cells against a skew of 4
+        (make_pair((2, 2), (4, 4), (4, 4)), ((2, 2),)),
+        # 16 - 8 = 8 cells against a skew of 7
+        (make_pair((1, 1), (4, 4, 1), (4, 4)), ((2, 2), (2, 2))),
+    ],
+    ids=["one block", "two blocks"],
+)
+def test_an_injectivity_test_empty_by_size_searches_nothing(pair, rects, cold_memo):
+    p, q = pair.ambient
+    assert p * q - sum(a * b for a, b in rects) > sum(pair.mu) - sum(pair.lam)
+    assert injectivity_unitary(pair, LeviShape(rects)) == (False, None)
+    # no product was built, neither of the blocks nor of a complement
+    assert lr_mod._expand_pair.cache_info().currsize == 0
+    assert cohom_mod._levi_support.cache_info().currsize == 0
+    # the search it skipped finds nothing
+    support = cohom_mod._levi_support(pair.ambient, rects)
+    assert support and all(lr_mod._witness(top, pair.lam, pair.mu) is None for _, top, _ in support)
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (((3, 1), (2, 1)), LeviDoesNotFit, "row sides exceed the ambient"),
+        (((2.5, 1),), ValueError, "block sides must be integers"),
+    ],
+    ids=["too wide", "side of 2.5"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        # the full 4x4 pair, which no Levi leaves empty by size
+        lambda rects: injectivity_unitary(make_pair((), (4, 4, 4, 4), (4, 4)), LeviShape(rects)),
+        lambda rects: dual_class_unitary((4, 4), LeviShape(rects)),
+    ],
+    ids=["injectivity_unitary", "dual_class_unitary"],
+)
+def test_a_refused_levi_stays_refused_after_a_valid_one_is_cached(bad, error, message, call, cold_memo):
+    call(((2, 1),))
+    call(((3, 1), (1, 1)))
+    assert cohom_mod._levi_support.cache_info().currsize == 2
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            call(bad)
+    assert cohom_mod._levi_support.cache_info().currsize == 2
 
 
 def _restrict_levi_sorting(x, levi):
