@@ -210,8 +210,7 @@ def chern_t(ambient, k):
     (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[0]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[0]))
-    # a column of k <= rows cells is canonical and inside the window
-    return CohomClass(ambient, {(1,) * k: 1})
+    return schubert_class(ambient, (1,) * k)
 
 
 def chern_q(ambient, k):
@@ -220,8 +219,7 @@ def chern_q(ambient, k):
     (k,) = _integers((k,), "degrees")
     if not 1 <= k <= ambient[1]:
         raise DegreeOutOfRange("k=%d outside 1..%d" % (k, ambient[1]))
-    # a row of k <= cols cells is canonical and inside the window
-    return CohomClass(ambient, {(k,): 1})
+    return schubert_class(ambient, (k,))
 
 
 def poincare_pair(x, y):

@@ -60,6 +60,21 @@ def test_a_shape_outside_its_box_reads_the_same_everywhere(name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, window",
+    [
+        # the degree fits the other side, but a window with no columns or
+        # no rows holds neither a column nor a row of one cell
+        (lambda: chern_t((3, 0), 1), "3x0"),
+        (lambda: chern_q((0, 3), 1), "0x3"),
+    ],
+    ids=["chern_t", "chern_q"],
+)
+def test_a_chern_class_outside_a_window_with_a_side_of_0_is_refused(call, window):
+    with pytest.raises(ShapeOutOfBox, match="^%s$" % re.escape("(1,) does not fit in " + window)):
+        call()
+
+
 def test_coefficients_and_parts_keep_one_integer_rule():
     x = cohom_class((2, 2), {(1,): Fraction(2)})
     assert x.terms == {(1,): 2} and type(x.terms[(1,)]) is int
