@@ -347,9 +347,11 @@ def outcome(fn, *args):
 
 
 def same_outcome(fn, oracle, *args):
+    """Assert equal outcomes of fn and its oracle; return fn's."""
     got, want = outcome(fn, *args), outcome(oracle, *args)
     # repr too, so that a float where the oracle has an int shows
     assert (got, repr(got)) == (want, repr(want)), (fn.__name__, args)
+    return got
 
 
 # ------------------------------------------------- normalizations per call
