@@ -42,6 +42,7 @@ from .partition import (
     _require_square,
     complement,
     contains,
+    diagonal_length,
     enumerate_in_rectangle,
     fits,
     minus_part,
@@ -145,13 +146,12 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
     """All compatible pairs in the window, graded on mu then lam, built
     as they are read; the arguments are checked up front.
 
-    Each mu of the window (symmetric ones only for the square flavors)
-    gets its lam, with their chains and areas, from _chains_below, so
-    nothing is tested and rejected; a unitary bidegree (i, j) builds
-    only the chains of area |mu| - i.  The lam of one mu are put in graded
-    order by sorting on the chain area.  A window with rows and columns,
-    over MAX_PAIR_ROWS of either, or a square-flavor one of side over 15,
-    raises InputTooLarge on the first read.
+    A unitary mu gets its lam from _chains_below, sorted on the chain
+    area; a bidegree (i, j) builds only the chains of area |mu| - i.  A
+    symmetric mu gets its symmetric lam, in order, from _symmetric_chains,
+    and only a bidegree's degree of lam is tested.  A window with rows and
+    columns, over MAX_PAIR_ROWS of either, or a square-flavor one of side
+    over 15, raises InputTooLarge on the first read.
     """
     ambient = _check_flavor(ambient, flavor)
     if bidegree is not None:
@@ -162,7 +162,7 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
 
 
 def _walk(ambient, flavor, bidegree, least):
-    # iter_pairs, less the pairs whose chain area is below least
+    # iter_pairs, less the unitary pairs whose chain area is below least
     if min(ambient) > 0 and max(ambient) > MAX_PAIR_ROWS:
         raise InputTooLarge("%dx%d has more than %d rows or columns" % (*ambient, MAX_PAIR_ROWS))
     square = flavor != "unitary"
@@ -170,23 +170,41 @@ def _walk(ambient, flavor, bidegree, least):
     if square and 2 ** ambient[0] * (ambient[0] + 2) > (MAX_PAIR_ROWS + 1) * (MAX_PAIR_ROWS + 2):
         raise InputTooLarge("%dx%d holds more pairs than %dx1" % (*ambient, MAX_PAIR_ROWS))
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
-    # the window's own tuple for each lam; None for a square flavor's non-symmetric lam
+    # the window's own tuple for each lam, so a lam under many mu is one tuple
     shared = {shape: shape for shape in shapes}
     for mu in shapes:
+        if bidegree is not None and _codegree(mu, ambient, flavor) != bidegree[1]:
+            continue
+        if square:
+            for lam, chain in _symmetric_chains(mu):
+                if bidegree is None or _degree(lam, flavor) == bidegree[0]:
+                    yield CompatiblePair(shared[lam], mu, ambient, flavor, chain)
+            continue
         low, high = least, sum(mu)
         if bidegree is not None:
-            if _codegree(mu, ambient, flavor) != bidegree[1]:
-                continue
-            if not square:
-                low = high = high - bidegree[0]
+            low = high = high - bidegree[0]
         if low > high:
             continue
         # |lam| = |mu| - area; equal-weight lam are never prefixes: sort_key order
         for _, lam, chain in sorted(_chains_below(mu, low, high), reverse=True):
-            lam = shared.get(lam)
-            if lam is None or square and bidegree is not None and _degree(lam, flavor) != bidegree[0]:
-                continue
-            yield CompatiblePair(lam, mu, ambient, flavor, chain)
+            yield CompatiblePair(shared[lam], mu, ambient, flavor, chain)
+
+
+def _symmetric_chains(mu):
+    # (lam, chain) for the d(mu) + 1 symmetric lam with mu/lam a chain, mu
+    # symmetric, graded: one per row t up to d(mu), whose rows t..mu_t - 1
+    # are cut block by block to max(t, the next smaller part), so t = d(mu)
+    # gives mu.  By symmetry, the block of mu_i ends above row mu[mu_i - 1].
+    parts = mu + (0,)
+    for t in range(diagonal_length(mu) + 1):
+        lam, chain, i = mu[:t], (), t
+        while i < parts[t]:
+            b = mu[mu[i] - 1]
+            lo = parts[b] if parts[b] > t else t
+            lam += (lo,) * (b - i) if lo else ()
+            chain += ((b - i, mu[i] - lo),)
+            i = b
+        yield lam + mu[i:], chain
 
 
 def enumerate_pairs(ambient, flavor="unitary", bidegree=None):
@@ -267,12 +285,18 @@ def injectivity_unitary(pair, levi):
     return False, None
 
 
-def fat_hook(ambient, r, s):
-    """The partition with r full rows and width s below them."""
+def _corner(ambient, r, s):
+    # the window's sides and a fat hook's corner (r, s) in it, as ints
     p, q = _window(ambient)
     r, s = _integers((r, s), "corners")
     if not (0 <= r <= p and 0 <= s <= q):
         raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
+    return p, q, r, s
+
+
+def fat_hook(ambient, r, s):
+    """The partition with r full rows and width s below them."""
+    p, q, r, s = _corner(ambient, r, s)
     return partition((q,) * r + (s,) * (p - r))
 
 
@@ -284,10 +308,7 @@ def fat_hook_labels(ambient):
 
 def injectivity_holomorphic_u(ambient, r, s, levi):
     """Closed-form answer for fat-hook pairs (full window above)."""
-    p, q = _window(ambient)
-    r, s = _integers((r, s), "corners")
-    if not (0 <= r <= p and 0 <= s <= q):
-        raise ValueError("corner (%d,%d) outside %dx%d" % (r, s, p, q))
+    p, q, r, s = _corner(ambient, r, s)
     rects = _unitary_blocks((p, q), levi)
     if not rects:
         return False
@@ -312,11 +333,17 @@ def injectivity_gsp(pair):
     return _witness(staircase(pair.ambient[0] - 1), pair.lam, pair.mu) is not None
 
 
-def symmetric_fat_hook(p, r):
-    """The self-conjugate hook family (r full rows, r full columns)."""
+def _rank_index(p, r):
+    # a rank p and an index r in 0..p, as ints
     p, r = _integers((p, r), "ranks and indices")
     if not 0 <= r <= p:
         raise ValueError("r=%d outside 0..%d" % (r, p))
+    return p, r
+
+
+def symmetric_fat_hook(p, r):
+    """The self-conjugate hook family (r full rows, r full columns)."""
+    p, r = _rank_index(p, r)
     return partition((p,) * r + (r,) * (p - r))
 
 
@@ -326,9 +353,7 @@ def gsp_holomorphic(p, r, block_rows):
     Returns (injective, constant): the r = 0 member is the constant
     class, reported separately rather than through the main formula.
     """
-    p, r = _integers((p, r), "ranks and indices")
-    if not 0 <= r <= p:
-        raise ValueError("r=%d outside 0..%d" % (r, p))
+    p, r = _rank_index(p, r)
     block_rows = _integers(block_rows, "block rows")
     if any(b < 1 for b in block_rows) or sum(block_rows) > p:
         raise LeviDoesNotFit("blocks %r do not fit rank %d" % (block_rows, p))

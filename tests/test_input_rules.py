@@ -125,6 +125,27 @@ def test_a_non_integer_window_rank_or_index_is_refused(name):
         NON_INTEGER[name]()
 
 
+# a fat hook's corner outside its window, or an index outside 0..rank,
+# through each of the two functions that share the rule
+OUT_OF_RANGE = {
+    "fat_hook": (lambda: fat_hook((2, 3), 3, 0), "corner (3,0) outside 2x3"),
+    "injectivity_holomorphic_u": (
+        lambda: injectivity_holomorphic_u((2, 3), 0, -1, LeviShape(((1, 1),))),
+        "corner (0,-1) outside 2x3",
+    ),
+    "symmetric_fat_hook": (lambda: symmetric_fat_hook(3, 4), "r=4 outside 0..3"),
+    "gsp_holomorphic": (lambda: gsp_holomorphic(3, -1, [1]), "r=-1 outside 0..3"),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_a_corner_or_index_out_of_range_is_refused_in_the_same_words(name):
+    call, message = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError and str(raised.value) == message
+
+
 # every entry point that takes a window or box, given a negative side
 NEGATIVE_WINDOW = {
     "make_pair": lambda w: make_pair((), (), w),

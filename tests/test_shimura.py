@@ -677,6 +677,21 @@ def test_arthur_cover_builds_only_the_pairs_it_keeps(monkeypatch):
     assert len(built) == len(rows)
 
 
+def test_square_flavor_pairs_walk_no_chains(monkeypatch):
+    # a symmetric mu's symmetric lam are built directly, so listing them
+    # walks no chain below mu and drops no lam
+    want = _walk_and_rank((6, 6), "symplectic")
+    bidegree_want = [p for p in _walk_and_rank((5, 5), "orthogonal") if vz_bidegree(p) == (3, 4)]
+    assert len(want) == 256 and bidegree_want
+
+    def walk(*args):
+        raise AssertionError("walked the chains below %r" % (args[0],))
+
+    monkeypatch.setattr(shimura, "_chains_below", walk)
+    assert list(iter_pairs((6, 6), "symplectic")) == want
+    assert list(iter_pairs((5, 5), "orthogonal", (3, 4))) == bidegree_want
+
+
 _OPTIMIZED_CHECKS = {
     # A bound no pair reaches sends a 3x3 "Other" pair into the branch
     # that must not fire below the bound.
