@@ -37,7 +37,6 @@ from .partition import (
     from_plus_part,
     is_strict,
     partition,
-    plus_part,
     rect,
     sort_key,
     staircase,
@@ -354,6 +353,6 @@ def restrict_symplectic_levi_support(nu, levi, p):
     (p,) = _integers((p,), "ranks")
     nu = _inside(_symmetric(nu, nu), p, p)
     levi = check_levi_square(p, levi)
-    splits = diagonal_splits(plus_part(nu), levi.center, levi.rects, plus_part)
+    splits = diagonal_splits(nu, levi.center, levi.rects, "symplectic")
     found = {(() if w.center is None else w.center, w.gammas) for w in splits}
     return sorted(found, key=lambda pair: (sort_key(pair[0]), tuple(map(sort_key, pair[1]))))

@@ -53,11 +53,11 @@ bottom-up products, so the tests' oracles, which count through
 multi_lr_coefficient, do not share the walk.
 
 Each memoized helper (_coefficient, _expand_pair, _coproduct and
-_centers, the diagonal search's symmetric centers of a side) keeps its
-own functools.cache table, which cache_clear() empties and cache_info()
-counts.  A hit returns the table's own dict or tuple, shared by every
-caller, so callers must not mutate it; the tuples let searches running
-at the same time share them.
+_centers, the diagonal search's symmetric centers, keyed by side and
+square flavor) keeps its own functools.cache table, which cache_clear()
+empties and cache_info() counts.  A hit returns the table's own dict or
+tuple, shared by every caller, so callers must not mutate it; the
+tuples let searches running at the same time share them.
 
 A single coefficient, lr_coefficient, is the same in four orientations:
 swap the two lower shapes, or conjugate all three.  _coefficient and
@@ -419,29 +419,35 @@ def _oriented(strict):
     return (("id", strict), ("conj", flip))
 
 
+# the diagonal reduction of each square flavor
+_REDUCTIONS = {"symplectic": plus_part, "orthogonal": minus_part}
+
+
 @functools.cache
-def _centers(side, reduce_map):
+def _centers(side, flavor):
     # ((nu0, oriented reduction of nu0), ...) over the symmetric shapes
     # inside side x side, () alone for side 0
     shapes = enumerate_in_rectangle(side, side, symmetric_only=True)
-    return tuple((nu0, _oriented(reduce_map(nu0))) for nu0 in shapes)
+    return tuple((nu0, _oriented(_REDUCTIONS[flavor](nu0))) for nu0 in shapes)
 
 
-def diagonal_splits(base, center_side, boxes, reduce_map):
-    """SymWitness records of the ways to reach the strict shape base
+def diagonal_splits(nu, center_side, boxes, flavor):
+    """SymWitness records of the ways to reach the symmetric shape nu
     from a symmetric center inside center_side x center_side and one
-    shape per box: both orientations of base, then each center, both
-    orientations of its reduction, then the splits of the rest inside
-    the oriented target, the keys of _coproduct(target, center, boxes),
-    in the graded order of each block shape in turn.  With center_side
-    0 there is no center factor, and the center and its orientation are
-    None.  The centers of each (center_side, reduce_map) have their own
-    functools.cache table (_centers), and the splits share _coproduct's
-    with the Levi restriction, so a repeated search runs no ballot
-    search; the witnesses come out in the same order either way."""
+    shape per box, through _REDUCTIONS[flavor] (KeyError unless flavor
+    is "symplectic" or "orthogonal"): both orientations of nu's
+    reduction, then each center, both orientations of its reduction,
+    then the splits of the rest inside the oriented target, the keys of
+    _coproduct(target, center, boxes), in the graded order of each
+    block shape in turn.  With center_side 0 there is no center factor,
+    and the center and its orientation are None.  The centers of each
+    (center_side, flavor) have their own functools.cache table, and the
+    splits share _coproduct's with the Levi restriction, so a repeated
+    search runs no ballot search; the witnesses come out in the same
+    order either way."""
     boxes = tuple(map(tuple, boxes))
-    for t_label, tgt in _oriented(base):
-        for nu0, oriented in _centers(center_side, reduce_map):
+    for t_label, tgt in _oriented(_REDUCTIONS[flavor](nu)):
+        for nu0, oriented in _centers(center_side, flavor):
             for t0_label, ctr in oriented:
                 for gammas in _coproduct(tgt, ctr, boxes):
                     yield SymWitness(
@@ -459,11 +465,11 @@ def _symmetric(nu, given):
     return nu
 
 
-def _inscribes_diagonal(nu, center_side, flanks, reduce_map):
+def _inscribes_diagonal(nu, center_side, flanks, flavor):
     # the first diagonal witness of a canonical symmetric nu in the
     # symmetric chain split into center_side and flanks
     boxes = [(b, a) for a, b in flanks]  # factor for an a x b flank lives in b x a
-    return next(diagonal_splits(reduce_map(nu), center_side, boxes, reduce_map), None)
+    return next(diagonal_splits(nu, center_side, boxes, flavor), None)
 
 
 def inscribes_symmetric(nu, s):
@@ -472,9 +478,9 @@ def inscribes_symmetric(nu, s):
     nu and s must both be symmetric; nu is checked first.  Returns a
     witness (center shape, flank shapes, orientations) or None.
     """
-    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), plus_part)
+    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), "symplectic")
 
 
 def inscribes_antisymmetric(nu, s):
     """Like inscribes_symmetric but through the strict-arm reduction."""
-    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), minus_part)
+    return _inscribes_diagonal(_symmetric(partition(nu), nu), *symmetric_chain_split(s), "orthogonal")

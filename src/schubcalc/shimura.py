@@ -35,7 +35,7 @@ from .errors import (
     _integers,
     _window,
 )
-from .lr import _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
+from .lr import _REDUCTIONS, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
 from .partition import (
     _inside,
@@ -47,7 +47,6 @@ from .partition import (
     fits,
     minus_part,
     partition,
-    plus_part,
     rect,
     staircase,
     weight,
@@ -56,8 +55,6 @@ from .skew import SkewShape, _diagonal_split, rectangle_decomposition, skew
 
 FLAVORS = ("unitary", "symplectic", "orthogonal")
 MAX_PAIR_ROWS = 900  # a 900 x 1 or 1 x 900 window holds 406,351 pairs, 0.74 GB as JSON
-# the diagonal reduction of each square flavor
-_REDUCTIONS = {"symplectic": plus_part, "orthogonal": minus_part}
 
 
 class CompatiblePair(_Record):
@@ -255,7 +252,7 @@ def chern_action_nonzero(nu, pair):
             return None
         return {"mu_prime": mu_prime}
     levi = levi_shape(pair)
-    w = _inscribes_diagonal(_symmetric(nu, nu), levi.center, levi.rects, _REDUCTIONS[pair.flavor])
+    w = _inscribes_diagonal(_symmetric(nu, nu), levi.center, levi.rects, pair.flavor)
     if w is None:
         return None
     return {"orientation": w.orientation, "center": w.center, "gammas": w.gammas}
@@ -471,7 +468,8 @@ def partha_decomposition(ambient, degree):
         raise ValueError("degree %d outside 0..%d" % (degree, p * q))
     if degree == p * q:
         return [(0, 0)]
-    return [(a, b) for a in range(1, p + 1) for b in range(1, q + 1) if p * q - a * b == degree]
+    n = p * q - degree  # each window a x b with ab = n: a divides n, n/a <= q and a <= p
+    return [(a, n // a) for a in range(-(-n // q), min(p, n) + 1) if n % a == 0]
 
 
 class VZComponent(_Record):

@@ -187,7 +187,7 @@ def ballot_fillings(s, caps):
     order of their reverse-numbering words.  Caps totalling less than
     the size of s raise ValueError on the first step.
     """
-    caps = tuple(int(c) for c in caps)
+    caps = _integers(caps, "letter caps")
     # neighbours placed before each cell, -1 where they lie outside the
     # skew, from the row bounds (see the module docstring)
     above, right = [], []

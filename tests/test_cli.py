@@ -164,6 +164,10 @@ def test_lr_inscribes_modes(capsys):
     rc, out, _ = run(capsys, "lr", "inscribes", "--nu", "1", "--skew", "2,1")
     assert rc == 0
     assert out == '{"inscribes":true,"witness":{"mu_prime":"1"}}\n'
+    rc, out, _ = run(capsys, "lr", "inscribes", "--nu", "3", "--skew", "2,1")
+    assert rc == 0 and out == '{"inscribes":false,"witness":null}\n'
+    rc, out, _ = run(capsys, "lr", "inscribes", "--nu", "2,2", "--skew", "1", "--symmetric")
+    assert rc == 0 and out == '{"inscribes":false,"witness":null}\n'
     rc, out, _ = run(capsys, "lr", "inscribes", "--nu", "1", "--skew", "1", "--symmetric")
     assert rc == 0
     doc = json.loads(out)
@@ -286,6 +290,12 @@ def test_shimura_bidegree_and_chern(capsys):
     )
     doc = json.loads(out)
     assert rc == 0 and doc["nonzero"] and "center" in doc["witness"]
+    rc, out, _ = run(
+        capsys,
+        "shimura", "chern-action", "--p", "2", "--q", "2",
+        "--lambda", "1,1", "--mu", "2,2", "--nu", "2",
+    )
+    assert rc == 0 and out == '{"nonzero":false,"witness":null}\n'
 
 
 def test_inject_factors_parse_like_a_levi(capsys):

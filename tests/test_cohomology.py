@@ -63,6 +63,10 @@ def test_class_normalization():
     x = cohom_class((2, 2), {(1,): 2, (2,): 0})
     assert x.terms == {(1,): 2}
     assert x.coefficient((1,)) == 2 and x.coefficient((2,)) == 0
+    t = tensor_class(((2, 2), (2, 2)), {((1,), ()): 3})
+    assert t.coefficient([[1], []]) == 3 and t.coefficient([[], [1]]) == 0
+    iso = IsotropicClass(2, "lagrangian", {(1,): 1})
+    assert iso.coefficient([1]) == 1 and iso.coefficient([2, 1]) == 0
     assert x == cohom_class((2, 2), {(1,): 2})
     assert x != cohom_class((2, 3), {(1,): 2})
     with pytest.raises(ShapeOutOfBox):
@@ -569,6 +573,8 @@ def test_symplectic_support_validation():
         restrict_symplectic_levi_support((1,), LeviShape(rects=((1, 1),)), 2)
     with pytest.raises(LeviDoesNotFit):
         restrict_symplectic_levi_support((1,), LeviShape(rects=((2, 2),), center=1), 2)
+    with pytest.raises(LeviDoesNotFit, match="diagonal block side must be nonnegative"):
+        restrict_symplectic_levi_support((1,), LeviShape(rects=(), center=-1), 2)
 
 
 def test_symplectic_support_matches_inscription():

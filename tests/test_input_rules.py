@@ -40,6 +40,8 @@ from schubcalc.shimura import (
     symmetric_fat_hook,
     vanishing_criterion,
 )
+from schubcalc.skew import skew
+from schubcalc.tableau import ballot_fillings, enumerate_lr_fillings
 
 
 # each caller of the box rule, with the shape it refuses
@@ -116,6 +118,9 @@ NON_INTEGER = {
     "expand_product": lambda: expand_product([(1,)], (2.5, 2)),
     "enumerate_in_rectangle": lambda: enumerate_in_rectangle(2.5, 2),
     "count_in_rectangle": lambda: count_in_rectangle(2.5, 2),
+    # letter caps summing to the shape's size, or rounding down to a filling
+    "enumerate_lr_fillings": lambda: enumerate_lr_fillings(skew((2, 1)), (3.5, -0.5)),
+    "ballot_fillings": lambda: next(ballot_fillings(skew((2, 1)), (2.9, 1.9))),
 }
 
 

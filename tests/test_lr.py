@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import schubcalc.cohomology as cohom_mod
 import schubcalc.lr as lr_mod
+import schubcalc.shimura as shimura_mod
 from schubcalc.cohomology import (
     CohomClass,
     LeviShape,
@@ -43,7 +44,7 @@ from schubcalc.partition import (
     rect,
     sort_key,
 )
-from schubcalc.shimura import enumerate_pairs, injectivity_unitary, make_pair
+from schubcalc.shimura import chern_action_nonzero, enumerate_pairs, injectivity_unitary, make_pair
 from schubcalc.skew import (
     SkewShape,
     concat,
@@ -996,8 +997,8 @@ def test_coproduct_searches_no_empty_or_straight_skew(monkeypatch, cold_memo):
             lr_mod._coproduct(lam, (), rects)
     # the diagonal searches of the hash-seed CI commands
     center_side, flanks = symmetric_chain_split(skew((5, 4, 3, 2, 1), (4, 3, 2, 1)))
-    for reduce_map in (plus_part, minus_part):
-        assert list(diagonal_splits(reduce_map((2, 2)), center_side, [(b, a) for a, b in flanks], reduce_map))
+    for flavor in ("symplectic", "orthogonal"):
+        assert list(diagonal_splits((2, 2), center_side, [(b, a) for a, b in flanks], flavor))
     # products start from the empty shape, and a window may have no inner
     # shape; the answers are pinned, as no filling is counted for them
     assert expand_product([(2, 1), (1,), (1,)], (3, 3)) == {(3, 2): 2, (3, 1, 1): 2, (2, 2, 1): 2}
@@ -1071,8 +1072,8 @@ _LEVI_CASE = (schubert_class((4, 4), (3, 2, 1)), LeviShape(((2, 2), (2, 2))))
             _counts(coproduct=(1, 1)),
         ),
         (
-            lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
-            lambda: list(diagonal_splits((2, 1), 1, ((1, 1), (2, 1)), plus_part)),
+            lambda: list(diagonal_splits((2, 2), 1, ((1, 1), (2, 1)), "symplectic")),
+            lambda: list(diagonal_splits((2, 2), 1, ((1, 1), (2, 1)), "symplectic")),
             _counts(coproduct=(0, 2), centers=(0, 1)),
             _counts(coproduct=(2, 2), centers=(1, 1)),
         ),
@@ -1238,6 +1239,10 @@ def test_restrict_levi_dimension_identity():
                     assert got == _schur_at_ones(lam, p), (p, q, rows, lam)
 
 
+# the oracles' own reduction of each square flavor, apart from lr's table
+_REDUCE = {"symplectic": plus_part, "orthogonal": minus_part}
+
+
 def _both_ways(strict):
     return [strict] if conjugate(strict) == strict else [strict, conjugate(strict)]
 
@@ -1265,9 +1270,10 @@ def test_symplectic_support_matches_full_box_scan():
                     assert restrict_symplectic_levi_support(nu, levi, p) == want, (p, levi, nu)
 
 
-def _diagonal_by_full_box_scan(nu, s, reduce_map):
+def _diagonal_by_full_box_scan(nu, s, flavor):
     # the first witness of the center/orientation search over full-box
     # flank shapes
+    reduce_map = _REDUCE[flavor]
     center_side, flanks = symmetric_chain_split(s)
     boxes = [(b, a) for a, b in flanks]
     if center_side:
@@ -1302,20 +1308,21 @@ def test_diagonal_witnesses_match_full_box_scan():
                 except IncompatiblePair:
                     continue
                 for nu in sym:
-                    assert inscribes_symmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, plus_part), (nu, s)
-                    assert inscribes_antisymmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, minus_part), (nu, s)
+                    assert inscribes_symmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, "symplectic"), (nu, s)
+                    assert inscribes_antisymmetric(nu, s) == _diagonal_by_full_box_scan(nu, s, "orthogonal"), (nu, s)
 
 
-def _diagonal_splits_unmemoized(base, center_side, boxes, reduce_map):
+def _diagonal_splits_unmemoized(nu, center_side, boxes, flavor):
     # The diagonal search before its centers and ordered splits were
     # memoized, kept as an oracle: the centers rebuilt and every
     # target/center expanded and sorted on each call.
     boxes = tuple(map(tuple, boxes))
+    reduce_map = _REDUCE[flavor]
     if center_side:
         centers = enumerate_in_rectangle(center_side, center_side, symmetric_only=True)
     else:
         centers = [()]
-    for t_label, tgt in lr_mod._oriented(base):
+    for t_label, tgt in lr_mod._oriented(reduce_map(nu)):
         for nu0 in centers:
             for t0_label, ctr in lr_mod._oriented(reduce_map(nu0)):
                 for gammas in sorted(_split_rest_recursive(tgt, ctr, boxes), key=lambda g: tuple(map(sort_key, g))):
@@ -1342,15 +1349,16 @@ def _diagonal_cases(most):
                     continue
                 boxes = tuple((b, a) for a, b in flanks)
                 for nu in sym:
-                    for reduce_map in (plus_part, minus_part):
-                        cases.append((reduce_map(nu), center_side, boxes, reduce_map))
+                    for flavor in _REDUCE:
+                        cases.append((nu, center_side, boxes, flavor))
     return cases
 
 
 def test_diagonal_splits_match_unmemoized_oracle(cold_memo):
     # plus the one target/center of the p <= 6 windows, (2, 1) over (1),
-    # whose expansion does not come out in graded order
-    cases = _diagonal_cases(4) + [((2, 1), 1, ((1, 1), (2, 1)), plus_part)]
+    # the plus parts of (2, 2) and (1), whose expansion does not come
+    # out in graded order
+    cases = _diagonal_cases(4) + [((2, 2), 1, ((1, 1), (2, 1)), "symplectic")]
     want = [list(_diagonal_splits_unmemoized(*case)) for case in cases]
     assert any(len(w) > 1 for w in want)
     for case, w in zip(cases, want):
@@ -1374,6 +1382,36 @@ def test_interleaved_diagonal_searches_agree(cold_memo):
         assert got_first == got_second == list(_diagonal_splits_unmemoized(*case)), case
 
 
+def test_rebound_reductions_leave_one_center_table(monkeypatch, cold_memo):
+    # a tracer rebinds plus_part in each module that binds it, one wrapper
+    # for all; the diagonal search is keyed by the flavor's name, so the
+    # symplectic criteria on centers of side 2 fill one _centers entry
+    # and answer as they do unwrapped
+    pair = make_pair((3, 1, 1), (4, 3, 3, 1), (4, 4), "symplectic")
+    calls = (
+        lambda: inscribes_symmetric((2, 2), skew(pair.mu, pair.lam)),
+        lambda: chern_action_nonzero((2, 2), pair),
+        lambda: restrict_symplectic_levi_support((2, 2), LeviShape(((1, 1),), 2), 4),
+    )
+    want = [call() for call in calls]
+    assert all(want)
+    cold_memo()
+    wrapper = functools.wraps(plus_part)(lambda lam: plus_part(lam))
+    for mod in (lr_mod, cohom_mod, shimura_mod):
+        if vars(mod).get("plus_part") is plus_part:
+            monkeypatch.setattr(mod, "plus_part", wrapper)
+    assert [call() for call in calls] == want
+    assert lr_mod._centers.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("flavor", [plus_part, "unitary"], ids=["callable", "unitary"])
+def test_the_diagonal_search_takes_a_square_flavor_name(flavor):
+    with pytest.raises(KeyError):
+        next(diagonal_splits((2, 2), 1, ((1, 1),), flavor))
+    with pytest.raises(KeyError):
+        lr_mod._inscribes_diagonal((2, 2), 1, ((1, 1),), flavor)
+
+
 def test_symplectic_support_matches_unmemoized_oracle(cold_memo):
     # all 1,842 support lists of p <= 4 on one shared memo
     count = 0
@@ -1383,7 +1421,7 @@ def test_symplectic_support_matches_unmemoized_oracle(cold_memo):
             for rects in _block_tuples(p - center, p - center, 3, least=0):
                 levi = LeviShape(rects, center)
                 for nu in sym:
-                    splits = _diagonal_splits_unmemoized(plus_part(nu), center, rects, plus_part)
+                    splits = _diagonal_splits_unmemoized(nu, center, rects, "symplectic")
                     found = {(() if w.center is None else w.center, w.gammas) for w in splits}
                     want = sorted(found, key=lambda pair: (sort_key(pair[0]), tuple(map(sort_key, pair[1]))))
                     assert restrict_symplectic_levi_support(nu, levi, p) == want, (p, levi, nu)

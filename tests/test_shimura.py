@@ -563,6 +563,8 @@ def test_kunneth_vanishing():
         kunneth_vanishing(pair, [((3, 2), (), ()), ((1, 1), (), ())])
     with pytest.raises(ShapeOutOfBox):
         kunneth_vanishing(pair, [((1, 1), (2,), (2,))])
+    with pytest.raises(ValueError, match="unitary pairs only"):
+        kunneth_vanishing(make_pair((1,), (2, 1), (2, 2), "symplectic"), [((1, 1), (), ())])
 
 
 def test_kunneth_vanishing_checks_its_blocks_like_a_levi():
@@ -591,6 +593,8 @@ def test_vanishing_criterion():
         vanishing_criterion(narrow, 0, "Q")
     with pytest.raises(ValueError):
         vanishing_criterion(narrow, 1, "X")
+    with pytest.raises(ValueError, match="unitary pairs only"):
+        vanishing_criterion(make_pair((1,), (2, 1), (2, 2), "symplectic"), 1, "Q")
 
 
 def _vanishing_per_side(pair, a, side):
@@ -624,6 +628,8 @@ def test_low_degree_structure_frozen():
     assert low_degree_structure(stair) == "SquareStaircase"
     full = make_pair((), (3, 3, 3), (3, 3))
     assert low_degree_structure(full) == "FullP"  # priority over FullQ
+    # one cell: neither side filled, and degree 8 is past the bound 7
+    assert low_degree_structure(make_pair((), (1,), (3, 3))) == "Other"
     assert low_degree_bound((3, 3)) == 7
     assert low_degree_bound((2, 4)) == 5
 
@@ -732,6 +738,24 @@ def test_invariants_raise_under_optimize(name):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _partha_by_scan(ambient, degree):
+    # partha_decomposition as it was before it read the windows off the
+    # divisors of pq - degree: every a x b in the window, kept as an oracle
+    p, q = ambient
+    if degree == p * q:
+        return [(0, 0)]
+    return [(a, b) for a in range(1, p + 1) for b in range(1, q + 1) if p * q - a * b == degree]
+
+
+def test_partha_windows_match_the_full_scan():
+    for p in range(13):
+        for q in range(13):
+            for degree in range(p * q + 1):
+                assert partha_decomposition((p, q), degree) == _partha_by_scan((p, q), degree), (p, q, degree)
+    # the scan would try 10^12 windows here
+    assert partha_decomposition((10**6, 10**6), 10**6) == [(999999, 1000000), (1000000, 999999)]
 
 
 def test_partha_decomposition():

@@ -59,6 +59,12 @@ def test_tableau_validates():
         tableau(((2,), ()), [(2, 1)])  # row decreases
     with pytest.raises(ValueError):
         tableau(((1, 1), ()), [(1,), (1,)])  # column repeats
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        tableau(((2, 1), ()), [(1, 1)])
+    with pytest.raises(ValueError, match="row 1 has wrong length"):
+        tableau(((2,), ()), [(1,)])
+    with pytest.raises(ValueError, match="entries must be positive"):
+        tableau(((2,), ()), [(0, 1)])
 
 
 def test_tableau_entries_that_are_not_integers_are_refused():

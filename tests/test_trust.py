@@ -161,23 +161,23 @@ def inscribes_witness_renormalizing(nu, s):
     return next(iter(terms), None)
 
 
-def _inscribes_diagonal_renormalizing(nu, s, reduce_map):
+def _inscribes_diagonal_renormalizing(nu, s, flavor):
     center_side, flanks = symmetric_chain_split_mirroring(s)
     boxes = [(b, a) for a, b in flanks]
-    splits = lr_mod.diagonal_splits(reduce_map(partition(nu)), center_side, boxes, reduce_map)
+    splits = lr_mod.diagonal_splits(partition(nu), center_side, boxes, flavor)
     return next(splits, None)
 
 
 def inscribes_symmetric_renormalizing(nu, s):
     if not is_symmetric(partition(nu)):
         raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
-    return _inscribes_diagonal_renormalizing(nu, s, plus_part)
+    return _inscribes_diagonal_renormalizing(nu, s, "symplectic")
 
 
 def inscribes_antisymmetric_renormalizing(nu, s):
     if not is_symmetric(partition(nu)):
         raise ShapeNotSymmetric("%r is not symmetric" % (nu,))
-    return _inscribes_diagonal_renormalizing(nu, s, minus_part)
+    return _inscribes_diagonal_renormalizing(nu, s, "orthogonal")
 
 
 def schubert_class_renormalizing(ambient, lam):
