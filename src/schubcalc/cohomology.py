@@ -3,7 +3,8 @@
 Classes are finite integer combinations of basis elements indexed by
 partitions inside the ambient rectangle; products build and count only
 the shapes inside the window, as the classes vanishing outside it are
-never formed.  Grading is by number of cells (complex codimension).
+never formed, and poincare_pair forms none: it pairs each shape with
+its complement.  Grading is by number of cells (complex codimension).
 
 The constructors (cohom_class, schubert_class, tensor_class) normalize
 and check every shape they are given.  A class they build, or one an
@@ -34,6 +35,7 @@ from .partition import (
     _require_square,
     complement,
     conjugate,
+    fits,
     from_plus_part,
     is_strict,
     partition,
@@ -222,8 +224,14 @@ def chern_q(ambient, k):
 
 
 def poincare_pair(x, y):
-    """Coefficient of the full-window class in the product."""
-    return cup(x, y).terms.get(rect(*x.ambient), 0)
+    """Coefficient of the full-window class in the product, by Poincare
+    duality: the int sum of x_lam * y_(complement of lam) over x's shapes
+    inside the window; a key outside it adds 0, as in cup."""
+    if x.ambient != y.ambient:
+        raise AmbientMismatch("%r vs %r" % (x.ambient, y.ambient))
+    p, q = x.ambient
+    pairs = (c * y.terms.get(complement(lam, p, q), 0) for lam, c in x.terms.items() if fits(lam, p, q))
+    return int(sum(pairs))
 
 
 def _check_blocks(rects, rows, cols):

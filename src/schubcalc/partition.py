@@ -236,6 +236,22 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
     return sorted(out, key=sort_key)
 
 
+def _box_weights(boxes):
+    # entry k: the tuples of partitions, one in each (rows, cols) box,
+    # with k cells in all, the q^k coefficient of the product of the
+    # [rows+cols choose rows]_q, each the product over i = 1..rows of
+    # (1 - q^(cols + i)) / (1 - q^i), cut at the whole product's degree
+    area = sum(a * b for a, b in boxes)
+    weights = [1] + [0] * area
+    for rows, cols in boxes:
+        for i in range(1, rows + 1):
+            for k in range(area, cols + i - 1, -1):
+                weights[k] -= weights[k - cols - i]
+            for k in range(i, area + 1):
+                weights[k] += weights[k - i]
+    return weights
+
+
 def count_in_rectangle(rows, cols):
     """Closed-form count of partitions inside rows x cols."""
     rows, cols = _window((rows, cols))

@@ -14,6 +14,7 @@ its chain: the criteria read the pair's blocks off pair.chain, not its skew.
 """
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .cohomology import (
@@ -38,6 +39,7 @@ from .errors import (
 from .lr import _REDUCTIONS, _inscribes_diagonal, _multi_coefficient, _symmetric, _witness
 from .lr import inscribes  # noqa: F401 (shimura.inscribes stays bound: perfbench's tracer test reads it)
 from .partition import (
+    _box_weights,
     _inside,
     _require_square,
     complement,
@@ -376,10 +378,9 @@ def kunneth_vanishing(pair, factor_pairs):
             raise ShapeOutOfBox("pair %r/%r outside %dx%d" % (m, l, *box))
         lams.append(l)
         tops.append(complement(m, *box))
-    # the pair's shapes and the blockwise ones are canonical by now
-    left = _multi_coefficient(pair.lam, lams)
-    right = _multi_coefficient(mu_hat(pair), tops)
-    return left * right == 0
+    top = mu_hat(pair)
+    # canonical shapes by now; the second product only if the first is not 0
+    return _multi_coefficient(pair.lam, lams) == 0 or _multi_coefficient(top, tops) == 0
 
 
 def vanishing_criterion(pair, a, side):
@@ -460,16 +461,22 @@ def arthur_cover(ambient, max_degree):
 
 
 def partha_decomposition(ambient, degree):
-    """Window sizes (a, b) whose classes land in the given codegree;
-    the top codegree is carried by the point stratum (0, 0)."""
+    """Window sizes (a, b), in increasing a, whose classes land in the
+    given codegree; the top codegree is carried by the point stratum
+    (0, 0).  Any other has ab = pq - degree = n and its shorter side in
+    ceil(n/max(p, q))..min(isqrt(n), p, q); over 10^7 sides raise InputTooLarge."""
     p, q = _window(ambient)
     (degree,) = _integers((degree,), "degrees")
     if not 0 <= degree <= p * q:
         raise ValueError("degree %d outside 0..%d" % (degree, p * q))
     if degree == p * q:
         return [(0, 0)]
-    n = p * q - degree  # each window a x b with ab = n: a divides n, n/a <= q and a <= p
-    return [(a, n // a) for a in range(-(-n // q), min(p, n) + 1) if n % a == 0]
+    n = p * q - degree
+    low, high = -(-n // max(p, q)), min(math.isqrt(n), p, q)
+    if high - low + 1 > 10**7:
+        raise InputTooLarge("%d shorter sides to try for %d cells, over 10^7" % (high - low + 1, n))
+    sides = [s for s in range(low, high + 1) if n % s == 0]
+    return sorted({w for s in sides for w in ((s, n // s), (n // s, s)) if w[0] <= p and w[1] <= q})
 
 
 class VZComponent(_Record):
@@ -507,10 +514,19 @@ def enumerate_components(pair):
 
 
 def count_components(pair, bidegree=None):
+    """len(enumerate_components(pair)), or of those of the bidegree, from
+    the block sizes: _box_weights(blocks)[k] unitary pieces have bidegree
+    vz_bidegree(pair) + (k, k); square flavors have 2^c times as many, for
+    a c x c center, and no bidegree."""
+    levi = levi_shape(pair)
+    weights = _box_weights(levi.rects)
     if bidegree is None:
-        return len(enumerate_components(pair))
+        return sum(weights) << (levi.center or 0)
     bidegree = tuple(bidegree)
-    return sum(1 for c in enumerate_components(pair) if c.bidegree == bidegree)
+    if levi.center is not None:
+        return 0
+    i0, j0 = vz_bidegree(pair)
+    return sum(w for k, w in enumerate(weights) if (i0 + k, j0 + k) == bidegree)
 
 
 class OstarComponent(NamedTuple):

@@ -294,6 +294,26 @@ def test_poincare_pair():
                 assert poincare_pair(schubert_class(amb, nu), schubert_class(amb, mu)) == want
 
 
+def test_poincare_pair_builds_no_product(monkeypatch):
+    # the pairing is read by duality: no cup product and no LR expansion
+    from schubcalc import cohomology, lr
+
+    def boom(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(cohomology, "cup", boom)
+    monkeypatch.setattr(lr, "_expand_pair", boom)
+    test_poincare_pair()
+    # the 8x8 staircases pair once with each other, never with themselves
+    st7, st8 = schubert_class((8, 8), (7, 6, 5, 4, 3, 2, 1)), schubert_class((8, 8), (8, 7, 6, 5, 4, 3, 2, 1))
+    assert (poincare_pair(st7, st8), poincare_pair(st8, st7), poincare_pair(st7, st7)) == (1, 1, 0)
+    x = cohom_class((2, 3), {(2, 1): 2, (1,): -3, (): 5})
+    y = cohom_class((2, 3), {(2, 1): 7, (3, 2): 11, (3, 3): 13})
+    assert poincare_pair(x, y) == 2 * 7 - 3 * 11 + 5 * 13
+    with pytest.raises(AmbientMismatch, match=r"^\(2, 3\) vs \(3, 2\)$"):
+        poincare_pair(x, schubert_class((3, 2), ()))
+
+
 def _standard_tableaux_of_rectangle(rows, cols):
     # the hook length formula for the rows x cols rectangle
     hooks = 1

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from schubcalc.cohomology import schubert_class
 from schubcalc.errors import NotSymmetric, ShapeOutOfBox
 from schubcalc.partition import (
+    _box_weights,
     bar_closure,
     check_reduction,
     complement,
@@ -230,6 +233,25 @@ def test_enumeration_counts_match_closed_form():
             if a and b:
                 assert len(enumerate_in_rectangle(a, b)) == count_in_rectangle(a, b)
             assert count_in_rectangle(a + 1, b + 1) == math.comb(a + b + 2, a + 1)
+
+
+def _weight_histogram(boxes):
+    # the tuples of partitions, one in each box, by their total cells
+    counts = Counter()
+    for lams in itertools.product(*(enumerate_in_rectangle(a, b) for a, b in boxes)):
+        counts[sum(map(sum, lams))] += 1
+    return [counts[k] for k in range(sum(a * b for a, b in boxes) + 1)]
+
+
+def test_box_weights_count_partitions_by_size():
+    assert _box_weights(()) == [1]
+    for a in range(7):
+        for b in range(7):
+            weights = _box_weights([(a, b)])
+            assert weights == _weight_histogram([(a, b)]), (a, b)
+            assert sum(weights) == count_in_rectangle(a, b)
+    for boxes in (((1, 1), (1, 1)), ((2, 3), (1, 4)), ((2, 2), (0, 3), (3, 1)), ((3, 2), (2, 3), (1, 1))):
+        assert _box_weights(boxes) == _weight_histogram(boxes), boxes
 
 
 def test_enumeration_rejects_negative_sides():

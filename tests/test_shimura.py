@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -567,6 +568,23 @@ def test_kunneth_vanishing():
         kunneth_vanishing(make_pair((1,), (2, 1), (2, 2), "symplectic"), [((1, 1), (), ())])
 
 
+def test_kunneth_vanishing_builds_the_second_product_only_after_a_nonzero_first(monkeypatch):
+    products = []
+
+    def counted(target, factors):
+        products.append(target)
+        return multi(target, factors)
+
+    multi = shimura._multi_coefficient
+    monkeypatch.setattr(shimura, "_multi_coefficient", counted)
+    pair = make_pair((2, 2), (4, 4), (3, 4))
+    assert kunneth_vanishing(pair, [((1, 2), (2,), (2,)), ((2, 1), (1, 1), (1, 1))])
+    assert products == [(2, 2)]
+    same = make_pair((1,), (2, 1), (2, 2))
+    assert not kunneth_vanishing(same, [((2, 2), (1,), (2, 1))])
+    assert products == [(2, 2), (1,), mu_hat(same)]
+
+
 def test_kunneth_vanishing_checks_its_blocks_like_a_levi():
     # one block rule for every Levi entry: positive sides, then rows and
     # columns that fit the ambient window
@@ -758,6 +776,29 @@ def test_partha_windows_match_the_full_scan():
     assert partha_decomposition((10**6, 10**6), 10**6) == [(999999, 1000000), (1000000, 999999)]
 
 
+def test_partha_scans_only_the_shorter_side():
+    # 10^10 = 2^10 5^10 has 121 divisors, each the a of one window; the
+    # scan of the longer side would try 10^10 values
+    n = 10**10
+    divisors = sorted(2**i * 5**j for i in range(11) for j in range(11))
+    assert partha_decomposition((n, n), n * n - n) == [(a, n // a) for a in divisors]
+    assert partha_decomposition((10**5, n), n * 10**5 - n) == [(a, n // a) for a in divisors if a <= 10**5]
+
+
+def test_partha_refuses_more_than_ten_million_shorter_sides():
+    # the shorter side s of a window with n cells runs over
+    # ceil(n / max(p, q)) .. min(isqrt(n), p, q); these are refused
+    # before any s is tried, so none of them runs
+    big = 10**20
+    for (p, q), n, sides in (
+        ((10**9, 10**9), 10**17, math.isqrt(10**17) - 10**8 + 1),
+        ((big, big), (10**7 + 1) ** 2, 10**7 + 1),
+        ((10**7 + 1, big), big, 10**7 + 1),
+    ):
+        with pytest.raises(InputTooLarge, match="^%d shorter sides to try for %d cells, over 10\\^7$" % (sides, n)):
+            partha_decomposition((p, q), p * q - n)
+
+
 def test_partha_decomposition():
     amb = (2, 3)
     support = {l for l in range(7) if partha_decomposition(amb, l)}
@@ -785,6 +826,30 @@ def test_components_unitary():
     ]
     assert count_components(pair) == 2
     assert count_components(pair, (1, 1)) == 1
+
+
+def test_count_components_lists_no_component(monkeypatch):
+    # counted from the block sizes, so enumerate_components never runs
+    pairs = [p for f in FLAVORS for n in range(1, 4) for p in enumerate_pairs((n, n), f)] + enumerate_pairs((2, 3))
+    want = {}
+    for pair in pairs:
+        comps = enumerate_components(pair)
+        want[pair] = (len(comps), Counter(c.bidegree for c in comps if c.bidegree is not None))
+    monkeypatch.setattr(shimura, "enumerate_components", lambda pair: pytest.fail("components were listed"))
+    for pair in pairs:
+        total, by_bidegree = want[pair]
+        assert count_components(pair) == total, pair
+        assert {b: count_components(pair, b) for b in by_bidegree} == by_bidegree, pair
+        assert count_components(pair, (-1, -1)) == 0
+    # C(20, 10) pieces, p(10) = 42 of them with 10 cells
+    full = make_pair((), rect(10, 10), (10, 10))
+    assert count_components(full) == 184756
+    assert count_components(full, (10, 10)) == count_components(full, [10, 10.0]) == 42
+    assert count_components(full, (10, 11)) == count_components(full, (10, 10, 0)) == 0
+    # square-flavor pieces carry no bidegree
+    symplectic = make_pair((), (2, 2), (2, 2), "symplectic")
+    assert count_components(symplectic) == 4
+    assert count_components(symplectic, vz_bidegree(symplectic)) == 0
 
 
 def test_components_bidegree_totals_transpose_symmetric():
