@@ -56,7 +56,7 @@ from .partition import (
 from .skew import SkewShape, _diagonal_split, rectangle_decomposition, skew
 
 FLAVORS = ("unitary", "symplectic", "orthogonal")
-MAX_PAIR_ROWS = 900  # a 900 x 1 or 1 x 900 window holds 406,351 pairs, 0.74 GB as JSON
+MAX_PAIRS = 500_000  # 8x8 (424,710) and square side 15 (278,528) answered; 9x9, side 16 not
 
 
 class CompatiblePair(_Record):
@@ -148,9 +148,9 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
     A unitary mu gets its lam from _chains_below, sorted on the chain
     area; a bidegree (i, j) builds only the chains of area |mu| - i.  A
     symmetric mu gets its symmetric lam, in order, from _symmetric_chains,
-    and only a bidegree's degree of lam is tested.  A window with rows and
-    columns, over MAX_PAIR_ROWS of either, or a square-flavor one of side
-    over 15, raises InputTooLarge on the first read.
+    and only a bidegree's degree of lam is tested.  A window of more than
+    MAX_PAIRS pairs, 2^(p-1) (p+2) for a square flavor and C(p+q, p)
+    (pq+2)/2 unitary, raises InputTooLarge on the first read.
     """
     ambient = _check_flavor(ambient, flavor)
     if bidegree is not None:
@@ -162,12 +162,12 @@ def iter_pairs(ambient, flavor="unitary", bidegree=None):
 
 def _walk(ambient, flavor, bidegree, least):
     # iter_pairs, less the unitary pairs whose chain area is below least
-    if min(ambient) > 0 and max(ambient) > MAX_PAIR_ROWS:
-        raise InputTooLarge("%dx%d has more than %d rows or columns" % (*ambient, MAX_PAIR_ROWS))
+    p, q = ambient
     square = flavor != "unitary"
-    # square-flavor pairs: 2^(p-1) (p+2) in p x p, against (m+1) (m+2) / 2 in m x 1
-    if square and 2 ** ambient[0] * (ambient[0] + 2) > (MAX_PAIR_ROWS + 1) * (MAX_PAIR_ROWS + 2):
-        raise InputTooLarge("%dx%d holds more pairs than %dx1" % (*ambient, MAX_PAIR_ROWS))
+    # 2^(p-1) (p+2) square or C(p+q, p) (pq+2)/2 unitary pairs, clamped far over the budget
+    pairs = ((p + 2) << min(p, 64) if square else math.comb(p + q, min(p, q, 20)) * (p * q + 2)) >> 1
+    if pairs > MAX_PAIRS:
+        raise InputTooLarge("%dx%d holds more than %d pairs" % (p, q, MAX_PAIRS))
     shapes = enumerate_in_rectangle(*ambient, symmetric_only=square)
     # the window's own tuple for each lam, so a lam under many mu is one tuple
     shared = {shape: shape for shape in shapes}
@@ -435,7 +435,9 @@ def arthur_cover(ambient, max_degree):
 
     Only defined below the window's low-degree bound.  A unitary pair's
     degree is pq minus its chain's area, so only the pairs of area at
-    least pq - max_degree, the ones kept, are built.
+    least pq - max_degree, the ones kept, are built.  A window that
+    iter_pairs refuses, of more than MAX_PAIRS pairs, is refused here
+    too, whatever max_degree keeps.
     """
     p, q = _window(ambient)
     (max_degree,) = _integers((max_degree,), "degrees")

@@ -58,7 +58,8 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_deep_shapes_report_input_too_large(capsys):
-    # a pair window over shimura.MAX_PAIR_ROWS rows or columns is refused
+    # a pair window of more than shimura.MAX_PAIRS pairs is refused:
+    # 1100 x 1 holds 1101 * 1102 / 2 = 606,651
     for p, q in (("1100", "1"), ("1", "1100")):
         rc, out, err = run(capsys, "shimura", "pairs", "--p", p, "--q", q)
         assert (rc, out, err) == (1, '{"error":"InputTooLarge"}\n', ""), (p, q)
@@ -75,7 +76,7 @@ def test_deep_shapes_report_input_too_large(capsys):
     assert (rc, out, err) == (0, '{"coefficient":1}\n', "")
 
 
-def test_pair_windows_above_the_row_limit_are_refused(capsys):
+def test_pair_windows_over_the_pair_budget_are_refused(capsys):
     # refused before a shape is listed: the square window would double
     # its list of symmetric shapes 1,100 times
     for argv in (

@@ -185,7 +185,7 @@ def test_a_negative_window_side_is_refused_everywhere(name, window):
 
 @pytest.mark.parametrize("flavor", ["symplectic", "orthogonal"])
 def test_square_flavor_windows_over_side_15_are_refused_on_the_first_read(flavor):
-    # a 16 x 16 window holds 589,824 square-flavor pairs, more than the
-    # 406,351 of the 900 x 1 window; nothing of it is listed
+    # a 16 x 16 window holds 589,824 square-flavor pairs, more than
+    # shimura.MAX_PAIRS = 500,000; nothing of it is listed
     with pytest.raises(InputTooLarge):
         next(iter_pairs((16, 16), flavor))

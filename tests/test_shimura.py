@@ -316,25 +316,35 @@ def test_pair_counts_match_closed_form():
             assert len(enumerate_pairs((p, p), flavor)) == 2**p * (p + 2) // 2, (p, flavor)
 
 
-def test_pair_windows_above_the_row_limit_are_refused():
-    # the limit covers rows or columns
-    assert shimura.MAX_PAIR_ROWS == 900
+def test_pair_windows_over_the_pair_budget_are_refused(monkeypatch):
+    # the budget counts pairs by the closed forms, not rows: m x 1 holds
+    # (m+1)(m+2)/2 pairs, so 998 x 1 (499,500) is admitted and 999 x 1
+    # (500,500) is not; only the first pairs of an admitted window are read
+    assert shimura.MAX_PAIRS == 500_000
     assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((900, 1)), 2)] == [((), ()), ((), (1,))]
     assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((1, 900)), 2)] == [((), ()), ((), (1,))]
+    assert [(p.lam, p.mu) for p in itertools.islice(iter_pairs((998, 1)), 1)] == [((), ())]
+    # a window with no rows or no columns holds one pair, whatever its size
+    assert [(p.lam, p.mu) for p in enumerate_pairs((2000, 0))] == [((), ())]
+    assert [(p.lam, p.mu) for p in enumerate_pairs((0, 2000))] == [((), ())]
+    # refused before a shape is listed, the 10^18 sides included
+    monkeypatch.setattr(shimura, "enumerate_in_rectangle", lambda *a, **k: pytest.fail("shapes were listed"))
+    huge = 10**18
     for ambient, flavor in (
-        ((901, 1), "unitary"),
-        ((1, 901), "unitary"),
+        ((999, 1), "unitary"),
+        ((1, 999), "unitary"),
+        ((9, 9), "unitary"),
+        ((2, 900), "unitary"),
+        ((huge, huge), "unitary"),
+        ((huge, huge), "symplectic"),
         ((901, 901), "symplectic"),
         ((901, 901), "orthogonal"),
     ):
         with pytest.raises(InputTooLarge):
             next(iter_pairs(ambient, flavor))
-    for ambient in ((901, 1), (1, 901)):
+    for ambient in ((999, 1), (1, 999), (9, 9)):
         with pytest.raises(InputTooLarge):
             arthur_cover(ambient, 5)
-    # a window with no rows or no columns holds one pair, whatever its size
-    assert [(p.lam, p.mu) for p in enumerate_pairs((2000, 0))] == [((), ())]
-    assert [(p.lam, p.mu) for p in enumerate_pairs((0, 2000))] == [((), ())]
 
 
 def test_enumerate_pairs_validates_up_front():
