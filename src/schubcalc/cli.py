@@ -1,11 +1,12 @@
 """Command line front end.
 
 Every run prints exactly one JSON document to stdout.  Domain failures
-exit 1 with {"error": code}, among them InputTooLarge for a pair window
-too large for shimura.iter_pairs to list; malformed invocations exit
-2 and write the complaint to stderr.  No command recurses, so an
-answer does not depend on the caller's stack depth.  --pretty sketches
-the shapes involved on stderr, leaving stdout machine-readable.
+exit 1 with {"error": code}, among them InputTooLarge, before any
+output, for a pair window of more than shimura.MAX_PAIRS pairs by its
+closed-form count; malformed invocations exit 2 and write the complaint
+to stderr.  No command recurses, so an answer does not depend on the
+caller's stack depth.  --pretty sketches the shapes involved on stderr,
+leaving stdout machine-readable.
 
 A command is parsed by its own parser, built once per process and
 reused by every later call of that command, so a call builds at most

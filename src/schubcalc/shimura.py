@@ -435,9 +435,8 @@ def arthur_cover(ambient, max_degree):
 
     Only defined below the window's low-degree bound.  A unitary pair's
     degree is pq minus its chain's area, so only the pairs of area at
-    least pq - max_degree, the ones kept, are built.  A window that
-    iter_pairs refuses, of more than MAX_PAIRS pairs, is refused here
-    too, whatever max_degree keeps.
+    least pq - max_degree, the ones kept, are built.  A window of more
+    than MAX_PAIRS pairs is refused, as by iter_pairs, whatever it keeps.
     """
     p, q = _window(ambient)
     (max_degree,) = _integers((max_degree,), "degrees")
@@ -498,8 +497,11 @@ def enumerate_components(pair):
     Unitary pairs get one piece per choice of partition in each chain
     block, with bidegree shifted diagonally by the total size.  Square
     flavors carry a symmetric center index as well and no bidegree
-    bookkeeping.
+    bookkeeping.  A pair of more than MAX_PAIRS pieces, by
+    count_components, raises InputTooLarge before any is built.
     """
+    if count_components(pair) > MAX_PAIRS:
+        raise InputTooLarge("the pair has more than %d components" % MAX_PAIRS)
     levi = levi_shape(pair)
     choices = [enumerate_in_rectangle(a, b) for a, b in levi.rects]
     out = []
@@ -517,18 +519,17 @@ def enumerate_components(pair):
 
 def count_components(pair, bidegree=None):
     """len(enumerate_components(pair)), or of those of the bidegree, from
-    the block sizes: _box_weights(blocks)[k] unitary pieces have bidegree
-    vz_bidegree(pair) + (k, k); square flavors have 2^c times as many, for
-    a c x c center, and no bidegree."""
+    the block sizes: an a x b block holds C(a+b, a) partitions and a c x c
+    center 2^c; _box_weights(blocks)[k] unitary pieces have bidegree
+    vz_bidegree(pair) + (k, k), and square-flavor ones none."""
     levi = levi_shape(pair)
-    weights = _box_weights(levi.rects)
     if bidegree is None:
-        return sum(weights) << (levi.center or 0)
+        return math.prod(math.comb(a + b, a) for a, b in levi.rects) << (levi.center or 0)
     bidegree = tuple(bidegree)
     if levi.center is not None:
         return 0
     i0, j0 = vz_bidegree(pair)
-    return sum(w for k, w in enumerate(weights) if (i0 + k, j0 + k) == bidegree)
+    return sum(w for k, w in enumerate(_box_weights(levi.rects)) if (i0 + k, j0 + k) == bidegree)
 
 
 class OstarComponent(NamedTuple):

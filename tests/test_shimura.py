@@ -862,6 +862,18 @@ def test_count_components_lists_no_component(monkeypatch):
     assert count_components(symplectic, vz_bidegree(symplectic)) == 0
 
 
+def test_enumerate_components_refuses_a_packet_over_the_budget(monkeypatch):
+    # counted before a block's shapes are listed: C(24, 12) = 2,704,156
+    # pieces for the 12x12 full pair, 2^19 = 524,288 for the symplectic
+    # 19x19 one, whose chain is all center
+    monkeypatch.setattr(shimura, "enumerate_in_rectangle", lambda *a, **k: pytest.fail("shapes were listed"))
+    for n, flavor, count in ((12, "unitary", 2704156), (19, "symplectic", 524288)):
+        full = make_pair((), rect(n, n), (n, n), flavor)
+        assert count_components(full) == count > shimura.MAX_PAIRS
+        with pytest.raises(InputTooLarge):
+            enumerate_components(full)
+
+
 def test_components_bidegree_totals_transpose_symmetric():
     totals = {}
     for pair in enumerate_pairs((2, 2)):
