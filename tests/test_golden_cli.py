@@ -4,8 +4,9 @@ tests/golden_cli.json maps each argv, written as one shell line, to the
 exit code and the sha256 of the stdout and stderr that cli.main gives
 it.  Its rows are every leaf command of test_cli._LEAF_ARGVS, the argvs
 of CI's hash-seed loop, the README examples, more `cohom pair`,
-`shimura kunneth-vanish` and `shimura partha` calls and pair windows
-refused for holding more than shimura.MAX_PAIRS pairs.  A change that
+`shimura kunneth-vanish` and `shimura partha` calls, pair windows
+refused for holding more than shimura.MAX_PAIRS pairs, and the four
+34-40 cell `lr coeff` calls of the benchmark's lr-expand workload.  A change that
 alters an output on purpose re-pins the rows it changes and names each
 one in CHANGES.md.
 """
