@@ -1,8 +1,11 @@
 """Littlewood-Richardson numbers and inscription predicates.
 
-Every answer comes from tableau.ballot_fillings, the one ballot-filling
-engine; count_images and the tableau product and rectification are kept
-only as independent cross-checks.
+Every answer comes from the ballot method: products, witnesses and
+splits from tableau.ballot_fillings, the one ballot-filling search, and a
+single coefficient from tableau.ballot_count, which counts the same
+fillings by row states without listing them.  count_images and the
+tableau product and rectification are kept only as independent
+cross-checks.
 
 Each public function normalizes the shapes it is given with partition(),
 once, and each box (rows, cols) with errors._window.  The private cores
@@ -62,12 +65,12 @@ tuples let searches running at the same time share them.
 A single coefficient, lr_coefficient, is the same in four orientations:
 swap the two lower shapes, or conjugate all three.  _coefficient and
 the cache file are keyed by the least of the four keys, but a miss
-counts the fillings in the cheapest orientation: the lighter lower
-shape as the content, so the skew has the fewer cells, then all three
-conjugated if that content has more rows than columns, so the fillings
-use fewer letters.  _coefficient holds counted values only, keyed by
-the canonical key alone, so a coefficient is counted at most once per
-process.
+counts the fillings by row states in the cheapest orientation: the
+lighter lower shape as the content, so the skew has the fewer cells,
+then all three conjugated if that content has more rows than columns,
+so the fillings use fewer letters.  _coefficient holds counted values
+only, keyed by the canonical key alone, so a coefficient is counted at
+most once per process.
 
 lr_coefficient alone touches the plain-text cache file named by the
 SCHUBERT_CACHE_DIR environment variable (a directory gets a
@@ -109,7 +112,7 @@ from .partition import (
     sort_key,
 )
 from .skew import SkewShape, reverse_numbering, symmetric_chain_split
-from .tableau import ballot_fillings
+from .tableau import ballot_count, ballot_fillings
 
 
 class LRKey(NamedTuple):
@@ -211,7 +214,7 @@ def _coefficient(key):
     if light and len(light) > light[0]:
         k += 2
     o, i, c = keys[k]
-    return sum(1 for _ in ballot_fillings(SkewShape(o, i), c))
+    return ballot_count(SkewShape(o, i), c)
 
 
 def _skew_terms(s, caps):

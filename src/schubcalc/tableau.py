@@ -4,14 +4,17 @@ A tableau stores its skew shape plus the entries of each row.  Text
 form writes one row per "/" segment with "." for missing inner cells,
 so "..1/.1/2" is a filling of (3,2,1)/(2,1).
 
-ballot_fillings is the one ballot-filling engine: it fills the cells in
-reverse-numbering order by backtracking over flat lists (each cell's
-entry and the index of the cell above and to its right), and yields
-each filling with its letter counts, as two reused lists.  The content
-is given as per-letter caps, exact when they total the size of the
-skew.  lr.lr_coefficient counts the fillings of one content, lr's
-products tally the fillings of a skew by their counts, and
-enumerate_lr_fillings turns them into tableaux.
+ballot_fillings is the one search that lists ballot fillings: it fills
+the cells in reverse-numbering order by backtracking over flat lists
+(each cell's entry and the index of the cell above and to its right),
+and yields each filling with its letter counts, as two reused lists.
+The content is given as per-letter caps, exact when they total the size
+of the skew.  lr's products tally the fillings of a skew by their counts,
+lr's witness searches read the first, and enumerate_lr_fillings turns
+them into tableaux.  ballot_count counts the fillings of one content
+row by row, merging the fillings that agree so far on the letter counts
+and on the room they leave the next row, so its time follows the number
+of such states, not the number of fillings; lr.lr_coefficient uses it.
 
 The neighbour indices come from the row bounds alone.  Row r holds
 columns inner_r+1 .. outer_r, numbered right to left from start_r, so
@@ -230,6 +233,86 @@ def ballot_fillings(s, caps):
         v = vals[k]
         counts[v] -= 1
         v += 1
+
+
+def ballot_count(s, content):
+    """The number of ballot fillings of s with exactly the given content,
+    counted row by row; 0 unless the content totals the size of s.
+
+    A filling of row r+1 depends on the rows above only through the
+    letter counts c so far and, for column strictness, the room of each
+    letter v: how many of row r+1's leftmost cells may hold letters <= v,
+    min(inner_r + N_r(v-1), outer_{r+1}) - inner_{r+1}, where N_r(v)
+    counts row r's letters <= v.  Row r+1 holds x_v copies of each
+    letter v <= r+1, each at most content_v - c_v, at most c_{v-1} - c_v
+    (the ballot condition, read right to left) and at most the room left
+    for v; an x_v that leaves more cells than the later letters' bounds
+    can take is skipped.  Equal states merge, their multiplicities
+    adding.  The first row holds only 1's and the last row the letters
+    still missing, so neither is enumerated.
+    """
+    content = _integers(content, "content")
+    m = len(content)
+    # empty rows place nothing and leave the next row all its room
+    rows = [(o, i) for o, i in zip(s.outer, _padded_inner(s)) if o > i]
+    if sum(o - i for o, i in rows) != sum(content):
+        return 0
+    if not rows:
+        return 1
+    o, i = rows[0]
+    if content[0] < o - i:
+        return 0
+    if len(rows) == 1:
+        return 1
+    o2, i2 = rows[1]
+    # {(letter counts, room of each letter in the next row): multiplicity}
+    states = {((o - i,) + (0,) * (m - 1), (min(i, o2) - i2,) + (o2 - i2,) * (m - 1)): 1}
+    for t in range(1, len(rows) - 1):
+        o, i = rows[t]
+        o2, i2 = rows[t + 1]
+        length = o - i
+        # next_room[M]: the next row's room for a letter after the M cells
+        # of this row filled with smaller letters
+        next_room = [min(i + M, o2) - i2 for M in range(length + 1)]
+        full = (next_room[length],)
+        k = min(t + 1, m)  # letters this row may hold
+        nxt = {}
+        for (c, room), mult in states.items():
+            bound = [content[0] - c[0]]
+            for v in range(1, k):
+                bound.append(min(content[v] - c[v], c[v - 1] - c[v]))
+            rest = sum(bound)
+            # the row's letters < v, each as (cells filled, counts, next rooms)
+            partial = [(0, (), ())]
+            for v in range(k):
+                rest -= bound[v]
+                bv, rv, cv = bound[v], room[v], c[v]
+                tail_c, tail_r = c[v + 1 :], full * (m - v - 1)
+                ext = []
+                for M, cp, rp in partial:
+                    rp += (next_room[M],)
+                    hi = min(bv, rv - M, length - M)
+                    if hi == length - M:
+                        # the row is full: later letters keep their counts
+                        key = (cp + (cv + hi,) + tail_c, rp + tail_r)
+                        nxt[key] = nxt.get(key, 0) + mult
+                        hi -= 1
+                    for x in range(max(0, length - M - rest), hi + 1):
+                        ext.append((M + x, cp + (cv + x,), rp))
+                partial = ext
+        states = nxt
+    # the last row takes the letters still missing, if it can
+    total = 0
+    for (c, room), mult in states.items():
+        M, prev = 0, None
+        for want, cv, rv in zip(content, c, room):
+            M += want - cv
+            if want < cv or M > rv or (prev is not None and want > prev):
+                break
+            prev = cv
+        else:
+            total += mult
+    return total
 
 
 def enumerate_lr_fillings(s, cont):

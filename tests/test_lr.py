@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import random
 
@@ -277,6 +278,20 @@ def test_big_coefficients_frozen(outer, inner, content, value, monkeypatch, cold
         assert lr_coefficient(*args) == value
     # the orientation the call names, counted without the orientation choice
     assert _count(outer, inner, content) == value
+
+
+def test_coefficients_are_counted_by_row_states(monkeypatch, cold_memo):
+    # _coefficient counts by tableau.ballot_count and never lists a filling
+    monkeypatch.delenv("SCHUBERT_CACHE_DIR", raising=False)
+
+    def refused(s, caps):
+        raise AssertionError("a coefficient listed its fillings")
+
+    # the package's name tableau is the function, not the module
+    monkeypatch.setattr(importlib.import_module("schubcalc.tableau"), "ballot_fillings", refused)
+    monkeypatch.setattr(lr_mod, "ballot_fillings", refused)
+    cold_memo()
+    assert [lr_coefficient(o, i, c) for o, i, c, _ in BIG_LR] == [v for _, _, _, v in BIG_LR]
 
 
 def test_rectangle_duality_small():

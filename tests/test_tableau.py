@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from schubcalc.errors import SkewInputNotSupported
 from schubcalc.partition import contains, enumerate_in_rectangle
 from schubcalc.skew import skew, size
 from schubcalc.tableau import (
+    ballot_count,
     ballot_fillings,
     content,
     enumerate_lr_fillings,
@@ -172,6 +174,51 @@ def test_ballot_fillings_reuse_one_list_in_reverse_numbering_order():
     assert [copy for _, copy, _, _ in seen] == [reverse_word(t) for t in enumerate_lr_fillings(s, (2, 1))]
     assert [copy[1:] for _, _, _, copy in seen] == [[2, 1]] * len(seen)
     assert [(list(v), c[1:]) for v, c in ballot_fillings(skew((), ()), ())] == [([], [])]
+
+
+def test_ballot_count_edge_cases():
+    # nothing to fill: one filling, of the empty content only
+    assert ballot_count(skew((), ()), ()) == 1
+    assert ballot_count(skew((2, 1), (2, 1)), ()) == 1
+    assert ballot_count(skew((2, 1), (2, 1)), (0, 0)) == 1
+    assert ballot_count(skew((2, 1), (2, 1)), (1,)) == 0
+    assert ballot_count(skew((2, 1), ()), ()) == 0
+    # one row holds only 1's
+    assert ballot_count(skew((4,), (1,)), (3,)) == 1
+    assert ballot_count(skew((4,), (1,)), (2, 1)) == 0
+    assert ballot_count(skew((5, 2, 2), (2, 2, 2)), (3,)) == 1
+    # row r holds letters <= r, so a content with more parts than the
+    # skew has rows has no filling
+    assert ballot_count(skew((2, 2), (1,)), (1, 1, 1)) == 0
+    assert ballot_count(skew((3, 1), (1,)), (1, 1, 1)) == 0
+    assert ballot_count(skew((3, 3), (1,)), (2, 1, 1, 1)) == 0
+    # a content of the wrong size, or no partition, has none either
+    assert ballot_count(skew((2, 2), (1,)), (1, 1)) == 0
+    assert ballot_count(skew((2, 2), (1,)), (2, 2)) == 0
+    assert ballot_count(skew((2, 2), (1,)), (1, 2)) == 0
+    assert ballot_count(skew((2, 2), (1,)), (4, -1)) == 0
+    with pytest.raises(ValueError):
+        ballot_count(skew((2, 2), (1,)), (2.5, 0.5))
+
+
+def test_ballot_count_matches_the_search_4x4():
+    # every skew in the 4x4 box, with every content of its size in the
+    # box and every composition of it into at most four parts
+    shapes = enumerate_in_rectangle(4, 4)
+    checked = 0
+    for mu in shapes:
+        for lam in shapes:
+            if not contains(lam, mu):
+                continue
+            s = skew(mu, lam)
+            n = size(s)
+            contents = set(enumerate_in_rectangle(4, 4, weight=n))
+            contents |= {c for c in itertools.product(range(n + 1), repeat=min(n, 3)) if sum(c) == n}
+            for nu in contents:
+                want = sum(1 for _ in ballot_fillings(s, nu))
+                assert ballot_count(s, nu) == want, (mu, lam, nu)
+                checked += 1
+    assert checked > 10000
 
 
 def test_lr_fillings_weight_mismatch_rejected():
