@@ -236,18 +236,20 @@ def enumerate_in_rectangle(rows, cols, weight=None, symmetric_only=False):
     return sorted(out, key=sort_key)
 
 
-def _box_weights(boxes):
+def _box_weights(boxes, top=None):
     # entry k: the tuples of partitions, one in each (rows, cols) box,
     # with k cells in all, the q^k coefficient of the product of the
     # [rows+cols choose rows]_q, each the product over i = 1..rows of
-    # (1 - q^(cols + i)) / (1 - q^i), cut at the whole product's degree
-    area = sum(a * b for a, b in boxes)
-    weights = [1] + [0] * area
+    # (1 - q^(cols + i)) / (1 - q^i), cut at degree top, by default the
+    # whole product's degree
+    if top is None:
+        top = sum(a * b for a, b in boxes)
+    weights = [1] + [0] * top
     for rows, cols in boxes:
         for i in range(1, rows + 1):
-            for k in range(area, cols + i - 1, -1):
+            for k in range(top, cols + i - 1, -1):
                 weights[k] -= weights[k - cols - i]
-            for k in range(i, area + 1):
+            for k in range(i, top + 1):
                 weights[k] += weights[k - i]
     return weights
 

@@ -521,15 +521,25 @@ def count_components(pair, bidegree=None):
     """len(enumerate_components(pair)), or of those of the bidegree, from
     the block sizes: an a x b block holds C(a+b, a) partitions and a c x c
     center 2^c; _box_weights(blocks)[k] unitary pieces have bidegree
-    vz_bidegree(pair) + (k, k), and square-flavor ones none."""
+    vz_bidegree(pair) + (k, k), and square-flavor ones none.  The weights
+    of blocks of area A are palindromic, so entry k is read at degree
+    min(k, A - k), the only degree built."""
     levi = levi_shape(pair)
     if bidegree is None:
         return math.prod(math.comb(a + b, a) for a, b in levi.rects) << (levi.center or 0)
     bidegree = tuple(bidegree)
-    if levi.center is not None:
+    if levi.center is not None or len(bidegree) != 2:
         return 0
     i0, j0 = vz_bidegree(pair)
-    return sum(w for k, w in enumerate(_box_weights(levi.rects)) if (i0 + k, j0 + k) == bidegree)
+    try:
+        k = int(bidegree[0]) - i0
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    area = sum(a * b for a, b in levi.rects)
+    if (i0 + k, j0 + k) != bidegree or not 0 <= k <= area:
+        return 0
+    top = min(k, area - k)
+    return _box_weights(levi.rects, top)[top]
 
 
 class OstarComponent(NamedTuple):

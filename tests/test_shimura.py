@@ -26,6 +26,7 @@ from schubcalc.errors import (
     TrivialPairExcluded,
 )
 from schubcalc.partition import (
+    _box_weights,
     complement,
     contains,
     enumerate_in_rectangle,
@@ -860,6 +861,27 @@ def test_count_components_lists_no_component(monkeypatch):
     symplectic = make_pair((), (2, 2), (2, 2), "symplectic")
     assert count_components(symplectic) == 4
     assert count_components(symplectic, vz_bidegree(symplectic)) == 0
+
+
+def test_count_components_by_bidegree_reads_the_uncut_weights():
+    # one weight, built to degree min(k, area - k) by palindromy, is the
+    # k-th of the whole product for every unitary pair up to 5x5
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for pair in enumerate_pairs((p, q)):
+                rects = levi_shape(pair).rects
+                whole = _box_weights(rects)
+                assert whole == whole[::-1], pair
+                for top in range(len(whole)):
+                    assert _box_weights(rects, top) == whole[: top + 1], (pair, top)
+                i0, j0 = vz_bidegree(pair)
+                got = [count_components(pair, (i0 + k, j0 + k)) for k in range(len(whole))]
+                assert got == whole, pair
+                assert count_components(pair, (i0 + len(whole), j0 + len(whole))) == 0
+    # the 200x200 full pair's weight at 100 cells builds 101 entries
+    full = make_pair((), rect(200, 200), (200, 200))
+    assert count_components(full, (100, 100)) == count_components(full, (39900, 39900)) == 190569292
+    assert count_components(full, (100.5, 100.5)) == count_components(full, ("a", "b")) == 0
 
 
 def test_enumerate_components_refuses_a_packet_over_the_budget(monkeypatch):
