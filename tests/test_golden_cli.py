@@ -5,8 +5,10 @@ exit code and the sha256 of the stdout and stderr that cli.main gives
 it.  Its rows are every leaf command of test_cli._LEAF_ARGVS, the argvs
 of CI's hash-seed loop, the README examples, more `cohom pair`,
 `shimura kunneth-vanish` and `shimura partha` calls, pair windows
-refused for holding more than shimura.MAX_PAIRS pairs, and the four
-34-40 cell `lr coeff` calls of the benchmark's lr-expand workload.  A change that
+refused for holding more than shimura.MAX_PAIRS pairs, the four
+34-40 cell `lr coeff` calls of the benchmark's lr-expand workload, and
+`cohom product`, `lr multi` and `skew decompose` calls whose products
+hold many terms of one weight or whose skews have an empty row.  A change that
 alters an output on purpose re-pins the rows it changes and names each
 one in CHANGES.md.
 """
