@@ -289,10 +289,11 @@ def dual_class_unitary(ambient, levi):
 def _levi_support(ambient, rects):
     # ((nu, complement of nu in the window, multiplicity), ...) over the
     # product of the full blocks kept inside the window, in nu's graded
-    # order; ambient holds int sides already read and rects the blocks
-    # _unitary_blocks checked.  A hit returns the table's own tuple
+    # order, here reverse tuple order (one weight); ambient holds int sides
+    # read and rects the blocks _unitary_blocks checked.  A hit returns the
+    # table's own tuple
     support = _product([rect(a, b) for a, b in rects], rect(*ambient))
-    return tuple((nu, complement(nu, *ambient), support[nu]) for nu in sorted(support, key=sort_key))
+    return tuple((nu, complement(nu, *ambient), support[nu]) for nu in sorted(support, reverse=True))
 
 
 def _restrict_isotropic(x, p, flavor, qualifies, key_of):

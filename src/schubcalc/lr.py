@@ -234,7 +234,8 @@ def _expand(lam, nu, outer):
 @functools.cache
 def _expand_pair(lam, nu, outer):
     # {mu: coefficient} over the shapes inside outer (every shape when
-    # outer is None), in graded order, with lam <= nu
+    # outer is None), in graded order, with lam <= nu; every mu has the
+    # one weight |lam| + |nu|, so graded order is reverse tuple order
     bot, top = sorted((lam, nu), key=sum)  # the heavier shape's filling is forced
     n = sum(top) + sum(bot)
     if outer is not None and not (n <= sum(outer) and contains(top, outer) and contains(bot, outer)):
@@ -248,7 +249,7 @@ def _expand_pair(lam, nu, outer):
         s = SkewShape(tuple(t + b for t in top) + bot, (b,) * len(top))
         caps = (n,) * (len(top) + len(bot)) if outer is None else outer
         terms = _skew_terms(s, caps)
-    return dict(sorted(terms.items(), key=lambda kv: sort_key(kv[0])))
+    return dict(sorted(terms.items(), reverse=True))
 
 
 def _skew_under(lam, alpha, rows, cols):
@@ -324,7 +325,8 @@ def expand_product(factors, box=None):
     """
     outer = None if box is None else rect(*_window(box))
     acc = _product([partition(f) for f in factors], outer)
-    return dict(sorted(acc.items(), key=lambda kv: sort_key(kv[0])))
+    # every term has the factors' total weight: reverse tuple order is graded
+    return dict(sorted(acc.items(), reverse=True))
 
 
 def multi_lr_coefficient(target, factors):

@@ -16,6 +16,7 @@ theirs from positive hook lengths.
 """
 
 import math
+from operator import lt, neg
 
 from .errors import AmbientNotSquare, NotSymmetric, ShapeOutOfBox, _integers, _window
 
@@ -35,9 +36,8 @@ def partition(parts):
     such as 2.0.  Any other part, such as 2.5, "3", None or infinity,
     raises ValueError; int() would truncate or parse it."""
     parts = _trim(_integers(parts, "parts"))
-    for a, b in zip(parts, parts[1:]):
-        if a < b:
-            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+    if any(map(lt, parts, parts[1:])):
+        raise ValueError("parts must be weakly decreasing: %r" % (parts,))
     if parts and parts[-1] < 0:
         raise ValueError("parts must be nonnegative: %r" % (parts,))
     return parts
@@ -199,8 +199,9 @@ def from_minus_part(strict):
 
 
 def sort_key(lam):
-    # graded order, then larger first parts first within a degree
-    return (sum(lam), tuple(-p for p in lam))
+    # graded order, then larger first parts first within a degree: reverse
+    # tuple order, as two shapes of one weight are never prefixes of each other
+    return (sum(lam), tuple(map(neg, lam)))
 
 
 def _shapes_under(highs, lows=()):

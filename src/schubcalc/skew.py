@@ -3,9 +3,13 @@
 A skew shape is outer/inner with inner contained in outer.  Cells are
 1-indexed (row, col) pairs, row 1 on top.  The decomposition recognized
 here is the strict one: consecutive rectangles must share exactly one
-corner point, with the first rectangle at the top right.
+corner point, with the first rectangle at the top right.  It is read in
+one pass down the rows: a block is a run of rows with the same inner and
+outer ends, each block must end where the one above it starts, and no
+empty row may fall between two nonempty ones.
 """
 
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import IncompatiblePair, ShapeNotSymmetric
@@ -73,48 +77,39 @@ def reverse_numbering(s):
     ]
 
 
-class _Run(NamedTuple):
-    top: int
-    bottom: int
-    lo: int  # columns occupied are lo+1 .. hi
-    hi: int
-
-
-def _runs(s):
-    # maximal groups of consecutive rows with identical column support;
-    # None when the nonempty rows are interrupted or fail corner contact
-    # a run is closed when the next nonempty row changes (lo, hi), and
-    # that row must end where the closed run starts (corner contact)
-    runs = []
-    top = last = lo = hi = None
-    for i, (a, b) in enumerate(zip(_padded_inner(s), s.outer), 1):
-        if b <= a:
-            continue
-        if last is not None and i != last + 1:
-            return None
-        if a != lo or b != hi:
-            if last is not None:
-                if b != lo:
-                    return None
-                runs.append(_Run(top, last, lo, hi))
-            top, lo, hi = i, a, b
-        last = i
-    if last is not None:
-        runs.append(_Run(top, last, lo, hi))
-    return runs
-
-
 def rectangle_decomposition(s):
-    """Rectangle sizes of the chain, top right first; None when the
-    shape is not such a chain.  The empty shape gives the empty chain."""
-    runs = _runs(s)
-    if runs is None:
-        return None
-    return [(r.bottom - r.top + 1, r.hi - r.lo) for r in runs]
+    """Rectangle sizes (rows, cols) of the chain, top right first; None
+    when the shape is not such a chain.  The empty shape gives the empty
+    chain.
+
+    One pass down the rows: a row with the same inner and outer ends as
+    the row above grows the open block, and any other nonempty row closes
+    it, appending its size, and opens a new one, which must end at the
+    column where the closed block starts.  The first empty row after a
+    block closes it for good: a nonempty row below it is a gap.
+    """
+    rows_left = zip_longest(s.outer, s.inner, fillvalue=0)
+    chain, rows, lo, hi = [], 0, 0, 0
+    for b, a in rows_left:
+        if b <= a:
+            # after a block, the rest of the rows, read here, must be empty
+            if rows and any(b > a for b, a in rows_left):
+                return None
+        elif rows and a == lo and b == hi:
+            rows += 1
+        elif rows and b != lo:
+            return None
+        else:
+            if rows:
+                chain.append((rows, hi - lo))
+            rows, lo, hi = 1, a, b
+    if rows:
+        chain.append((rows, hi - lo))
+    return chain
 
 
 def is_chain(s):
-    return _runs(s) is not None
+    return rectangle_decomposition(s) is not None
 
 
 def concat(factors):

@@ -392,6 +392,37 @@ def test_expand_keys_graded():
     assert keys == sorted(keys, key=sort_key)
 
 
+def _graded(keys):
+    keys = list(keys)
+    return keys == sorted(keys, key=sort_key)
+
+
+def test_one_weight_terms_come_out_in_sort_key_order_4x4(cold_memo):
+    # the products sort their one-weight terms by reverse tuple order; the
+    # oracle is sort_key itself, on every pair of 4x4 shapes, unboxed and
+    # inside the 4x4 box, and on the support of every Levi of one or two
+    # blocks from the 4x4 box, in the 4x4 window where they fit and in 8x8.
+    # A two-factor expand_product only copies one memoized product, so its
+    # own sort is checked on (1,) times each unordered pair, whose terms it
+    # merges
+    for lam in SHAPES_4x4:
+        for nu in SHAPES_4x4:
+            for box in (None, (4, 4)):
+                assert _graded(schur_expand(lam, nu, box)), (lam, nu, box)
+                assert _graded(expand_product([lam, nu], box)), (lam, nu, box)
+                if lam <= nu:
+                    assert _graded(expand_product([(1,), lam, nu], box)), (lam, nu, box)
+    blocks = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    levis = [(x,) for x in blocks] + list(itertools.product(blocks, repeat=2))
+    for ambient in ((4, 4), (8, 8)):
+        for rects in levis:
+            if sum(a for a, _ in rects) <= ambient[0] and sum(b for _, b in rects) <= ambient[1]:
+                assert _graded(nu for nu, _, _ in cohom_mod._levi_support(ambient, rects)), rects
+    # the key itself is the one it replaced, on every shape in 6x6
+    for lam in enumerate_in_rectangle(6, 6):
+        assert sort_key(lam) == (sum(lam), tuple(-p for p in lam))
+
+
 def _expand_in_box(lam, mu, box):
     # the product restricted to the box, counted over the box's own
     # shapes of the right weight, without the candidate enumerator

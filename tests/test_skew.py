@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,6 @@ from schubcalc.partition import conjugate, contains, enumerate_in_rectangle, rec
 from schubcalc.skew import (
     SkewShape,
     _padded_inner,
-    _Run,
-    _runs,
     cells,
     concat,
     conjugate_skew,
@@ -116,9 +115,16 @@ def test_compatibility_is_conjugation_invariant():
             assert flipped == [(b, a) for a, b in reversed(chain)]
 
 
+class _Run(NamedTuple):
+    top: int
+    bottom: int
+    lo: int  # columns occupied are lo+1 .. hi
+    hi: int
+
+
 def _runs_by_row_extension(s):
     # The run builder that extended the last run once per row, kept as
-    # an oracle.
+    # an oracle: _Run records of the blocks, or None for a non-chain.
     pad = _padded_inner(s)
     rows = [
         (i, pad[i - 1], s.outer[i - 1])
@@ -142,12 +148,15 @@ def _runs_by_row_extension(s):
 
 
 def test_runs_match_row_extension_oracle_5x5():
+    # the one-pass reader against the oracle's blocks on every 5x5 skew
     skews = all_skews(5, 5)
     chains = 0
     for s in skews:
         want = _runs_by_row_extension(s)
-        assert _runs(s) == want, s
-        chains += want is not None
+        if want is not None:
+            want = [(r.bottom - r.top + 1, r.hi - r.lo) for r in want]
+            chains += 1
+        assert rectangle_decomposition(s) == want, s
     # chains and non-chains alike
     assert 0 < chains < len(skews)
 

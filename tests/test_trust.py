@@ -82,8 +82,8 @@ from schubcalc.shimura import (
     mu_hat,
     vz_bidegree,
 )
-from schubcalc.skew import SkewShape, _Run, format_skew, skew, symmetric_chain_split
-from test_skew import _runs_by_row_extension
+from schubcalc.skew import SkewShape, format_skew, skew, symmetric_chain_split
+from test_skew import _Run, _runs_by_row_extension
 
 # ------------------------------------------------------------- oracles
 
@@ -285,7 +285,8 @@ def kunneth_vanishing_renormalizing(pair, factor_pairs):
 
 
 def symmetric_chain_split_mirroring(s):
-    # its runs come from the row-extension oracle, not from skew._runs
+    # its runs come from the row-extension oracle, not from
+    # skew.rectangle_decomposition
     if not (is_symmetric(s.outer) and is_symmetric(s.inner)):
         raise ShapeNotSymmetric("skew %s is not symmetric" % (format_skew(s),))
     runs = _runs_by_row_extension(s)
